@@ -12,178 +12,219 @@ Canonical encodings (golden files depend on these):
 * Witness search scans sizes 1..max_n, frames in canonical order, valuations
   in canonical order, worlds in ascending order, and returns the first hit.
 
-The inner loop evaluates a formula on one frame under every valuation at
-once, as numpy arrays of world bitmasks indexed by valuation code.  Every
-witness is re-verified through the scalar clauses in
-:mod:`superstrict.semantics` before it is returned.
+Each search compiles its formulas once into one postfix program over their
+shared subformula DAG, built from conjunction, disjunction, material
+implication, "some successor is in" and the set of normal points.  For each
+n the frames of the class form a table in canonical order: the relation
+codes that meet the class conditions, each with its normality masks.  The
+program runs on chunks of that table crossed with a range of valuation
+codes, as (frames x valuations) arrays of world bitmasks of at most
+`_PAIRS` pairs; a frame with more valuations than that forms a chunk alone
+and walks them in ranges.  A search is a hit predicate on the program's
+results, and the first nonzero entry of a chunk in row-major order is the
+first hit in canonical order.  Frame and Model objects are built for the
+witness only, and every witness is re-verified through the scalar clauses
+in :mod:`superstrict.semantics` before it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .semantics import (
-    Frame,
-    FrameClass,
-    Model,
-    holds,
-    relation_satisfies,
-    satisfies_class,
-    true_in_model,
-)
-from .syntax import (
-    And,
-    Bot,
-    Box,
-    Dia,
-    Formula,
-    Imp,
-    Or,
-    Ssi,
-    Sssi,
-    Strict,
-    Var,
-    desugar,
-    variables,
-)
+from .semantics import Frame, FrameClass, Model, holds, satisfies_class, true_in_model
+from .semantics import relation_satisfies  # noqa: F401  callers look it up here
+from .syntax import And, Bot, Box, Dia, Formula, Imp, Or, Ssi, Sssi, Strict, Var, children, desugar
+
+_PAIRS = 1 << 15  # (frame, valuation) pairs evaluated at once
+_CODES = 1 << 14  # relation codes decoded at once
+Program = list[tuple]  # (op, slot a, slot b); a variable's name as `a` until lowered
 
 
-def _decode_rows(code: int, n: int) -> tuple[int, ...]:
-    size = n * n
-    rows = []
-    for i in range(n):
-        row = 0
-        for j in range(n):
-            if code >> (size - 1 - (i * n + j)) & 1:
-                row |= 1 << j
-        rows.append(row)
-    return tuple(rows)
+@lru_cache(maxsize=None)
+def _reversal(n: int) -> np.ndarray:
+    """`rev[m]`: the world mask of the n-bit group m, whose top bit is world 0."""
+    m = np.arange(1 << n)
+    rev = sum(((m >> (n - 1 - j)) & 1) << j for j in range(n))
+    return np.asarray(rev, dtype=np.min_scalar_type((1 << n) - 1))
 
 
-def _decode_normals(code: int, n: int) -> int:
-    mask = 0
-    for i in range(n):
-        if code >> (n - 1 - i) & 1:
-            mask |= 1 << i
-    return mask
+def _groups(codes: np.ndarray, n: int, count: int) -> list[np.ndarray]:
+    """World masks of the `count` n-bit groups of big-endian uint64 codes."""
+    rev, low = _reversal(n), np.uint64((1 << n) - 1)
+    return [rev[(codes >> np.uint64(n * (count - 1 - i))) & low] for i in range(count)]
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: cached tables are shared by every search."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _frame_block(n: int, fc: FrameClass, all_points: bool, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """Successor rows, shape (n, frames), and normality masks of the frames of
+    `fc` with relation codes in [lo, lo + _CODES), in canonical order; frames
+    with no normal point, where no world can fail, only with `all_points`."""
+    rows = _groups(np.arange(lo, min(lo + _CODES, 1 << n * n), dtype=np.uint64), n, n)
+    ok = np.ones(rows[0].shape, dtype=bool)
+    for w, rw in enumerate(rows):
+        if fc.reflexive:
+            ok &= (rw >> w & 1) == 1
+        if fc.serial:
+            ok &= rw != 0
+        for v, rv in enumerate(rows):
+            edge = (rw >> v & 1) == 1
+            if fc.symmetric:
+                ok &= ~edge | ((rv >> w & 1) == 1)
+            if fc.transitive:
+                ok &= ~edge | (rv & ~rw == 0)
+            if fc.euclidean:
+                ok &= ~edge | (rw & ~rv == 0)
+    rev = _reversal(n)
+    normals = rev[-1:] if fc.all_normal else rev[0 if all_points else 1:]
+    return _frozen(np.repeat(np.stack(rows)[:, ok], normals.size, axis=1), np.tile(normals, int(ok.sum())))
+
+
+_cached_block = lru_cache(maxsize=None)(_frame_block)
+
+
+def _frame_blocks(n: int, fc: FrameClass, all_points: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The frame table of `fc` at n, block by block; kept up to n = 4 (2^20 frames)."""
+    block = _cached_block if n <= 4 else _frame_block
+    return (block(n, fc, all_points, lo) for lo in range(0, 1 << n * n, _CODES))
+
+
+@lru_cache(maxsize=64)
+def _leaves(n: int, k: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """Extension masks, shape (1, hi - lo), of k variables under valuation codes lo..hi-1."""
+    return _frozen(*(g[None, :] for g in _groups(np.arange(lo, hi, dtype=np.uint64), n, k)))
 
 
 def enumerate_frames(n: int, fc: FrameClass) -> Iterator[Frame]:
     """Every frame on exactly n worlds satisfying `fc`, canonical order."""
     if n < 1:
         raise ValueError("frame size must be at least 1")
-    full = (1 << n) - 1
-    for rel_code in range(1 << (n * n)):
-        rows = _decode_rows(rel_code, n)
-        if not relation_satisfies(rows, n, fc):
-            continue
-        for norm_code in range(1 << n):
-            normals = _decode_normals(norm_code, n)
-            if fc.all_normal and normals != full:
-                continue
-            yield Frame(n, rows, normals)
+    for rows, normals in _frame_blocks(n, fc, True):
+        for rel, nm in zip(rows.T.tolist(), normals.tolist()):
+            yield Frame(n, tuple(rel), nm)
 
 
-@lru_cache(maxsize=None)
-def _leaf_arrays(n: int, k: int) -> tuple[np.ndarray, ...]:
-    """Per-variable extension masks indexed by valuation code."""
-    codes = np.arange(1 << (k * n), dtype=np.uint32)
-    arrays = []
-    for i in range(k):
-        mask = np.zeros_like(codes)
-        for j in range(n):
-            bitpos = k * n - 1 - (i * n + j)
-            mask |= ((codes >> bitpos) & 1).astype(np.uint32) << j
-        mask.setflags(write=False)
-        arrays.append(mask)
-    return tuple(arrays)
+def _compile(formulas: Sequence[Formula]) -> tuple[Program, list[int], tuple[str, ...]]:
+    """One postfix program for all `formulas`, the slot of each, and the
+    variables, sorted.
 
+    Instruction i computes slot i from earlier slots; leaf 0 is bot, leaf 1
+    the normal points and leaf 2 + i variable i.  Equal subformulas lower
+    to equal instructions, which are emitted once."""
+    program: Program = []
+    slots: dict[tuple, int] = {}
 
-def _decode_valuation(code: int, n: int, names: Sequence[str]) -> dict[str, int]:
-    k = len(names)
-    out = {}
-    for i, name in enumerate(names):
-        mask = 0
-        for j in range(n):
-            if code >> (k * n - 1 - (i * n + j)) & 1:
-                mask |= 1 << j
-        out[name] = mask
-    return out
+    def emit(op: str, a: int | str = 0, b: int = 0) -> int:
+        if (op, a, b) not in slots:
+            slots[op, a, b] = len(program)
+            program.append((op, a, b))
+        return slots[op, a, b]
 
+    bot, norm = emit("leaf", 0), emit("leaf", 1)
 
-def _vec_ext(f: Formula, frame: Frame, leaves: dict[str, np.ndarray], ncodes: int) -> np.ndarray:
-    n, rel, normals = frame.n, frame.rel, frame.normals
-    full = (1 << n) - 1
+    def neg(a: int) -> int:
+        return emit("imp", a, bot)
 
-    def ext(g: Formula) -> np.ndarray:
+    def ssi(a: int, b: int) -> int:  # some successor in a, every one in a -> b
+        return emit("and", emit("and", emit("ex", a), neg(emit("ex", neg(emit("imp", a, b))))), norm)
+
+    def lower(g: Formula, kids: list[int]) -> int:
+        a, b = (*kids, 0, 0)[:2]
         match g:
             case Var(name):
-                arr = leaves.get(name)
-                return arr if arr is not None else np.zeros(ncodes, dtype=np.uint32)
+                return emit("var", name)
             case Bot():
-                return np.zeros(ncodes, dtype=np.uint32)
-            case And(a, b):
-                return ext(a) & ext(b)
-            case Or(a, b):
-                return ext(a) | ext(b)
-            case Imp(a, b):
-                return (full ^ ext(a)) | ext(b)
-            case Ssi(a, b):
-                ea, eb = ext(a), ext(b)
-                out = np.zeros(ncodes, dtype=np.uint32)
-                for w in range(n):
-                    if not normals >> w & 1:
-                        continue
-                    sa = ea & rel[w]
-                    good = (sa != 0) & ((sa & (full ^ eb)) == 0)
-                    out |= good.astype(np.uint32) << w
-                return out
-            case Sssi(a, b):
-                ea, eb = ext(a), ext(b)
-                out = np.zeros(ncodes, dtype=np.uint32)
-                for w in range(n):
-                    if not normals >> w & 1:
-                        continue
-                    sa = ea & rel[w]
-                    notb = (full ^ eb) & rel[w]
-                    good = (sa != 0) & ((sa & (full ^ eb)) == 0) & (notb != 0)
-                    out |= good.astype(np.uint32) << w
-                return out
-            case Strict(a, b):
-                ea, eb = ext(a), ext(b)
-                out = np.zeros(ncodes, dtype=np.uint32)
-                for w in range(n):
-                    if not normals >> w & 1:
-                        continue
-                    good = (ea & rel[w] & (full ^ eb)) == 0
-                    out |= good.astype(np.uint32) << w
-                return out
-            case Box(a):
-                ea = ext(a)
-                out = np.zeros(ncodes, dtype=np.uint32)
-                for w in range(n):
-                    if not normals >> w & 1:
-                        continue
-                    good = (rel[w] & (full ^ ea)) == 0
-                    out |= good.astype(np.uint32) << w
-                return out
-            case Dia(a):
-                ea = ext(a)
-                out = np.zeros(ncodes, dtype=np.uint32)
-                for w in range(n):
-                    if not normals >> w & 1:
-                        out |= np.uint32(1 << w)
-                    else:
-                        good = (ea & rel[w]) != 0
-                        out |= good.astype(np.uint32) << w
-                return out
+                return bot
+            case And() | Or() | Imp():  # the op is the class name: "and", "or", "imp"
+                return emit(type(g).__name__.lower(), a, b)
+            case Ssi():
+                return ssi(a, b)
+            case Sssi():
+                return emit("and", ssi(a, b), emit("ex", neg(b)))
+            case Strict():
+                return emit("and", neg(emit("ex", neg(emit("imp", a, b)))), norm)
+            case Box():
+                return emit("and", neg(emit("ex", neg(a))), norm)
+            case Dia():
+                return emit("imp", norm, emit("ex", a))
         raise TypeError(f"not a formula: {g!r}")
 
-    return ext(f)
+    done: dict[int, int] = {}  # id of a node -> its slot
+    stack: list[tuple[Formula, tuple[Formula, ...] | None]] = [(f, None) for f in formulas]
+    while stack:
+        g, kids = stack.pop()
+        if id(g) in done:
+            continue
+        if kids is None:  # first visit: lower the children first
+            kids = children(g)
+            stack.append((g, kids))
+            stack.extend((c, None) for c in kids if id(c) not in done)
+        else:
+            done[id(g)] = lower(g, [done[id(c)] for c in kids])
+    names = tuple(sorted(a for op, a, _ in program if op == "var"))
+    program = [("leaf", 2 + names.index(a), 0) if op == "var" else (op, a, b) for op, a, b in program]
+    return program, [done[id(f)] for f in formulas], names
+
+
+def _run(program: Program, leaves: Sequence, rows: np.ndarray, full: np.unsignedinteger) -> list:
+    """Every slot's extension on a chunk.  The leaves are bot, the normal
+    points, a (frames, 1) column like each `rows[w]`, and the variables'
+    extensions, (1, valuations) rows; results broadcast to both."""
+    vals: list = []
+    for op, a, b in program:
+        match op:
+            case "leaf":
+                v = leaves[a]
+            case "and":
+                v = vals[a] & vals[b]
+            case "or":
+                v = vals[a] | vals[b]
+            case "imp":
+                v = (full ^ vals[a]) | vals[b]
+            case "ex":
+                v = full ^ full
+                for w, r in enumerate(rows):
+                    v = v | (r & vals[a] != 0) * full.dtype.type(1 << w)
+        vals.append(v)
+    return vals
+
+
+def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Callable[..., np.ndarray],
+               all_points: bool = False) -> tuple[Model, int] | None:
+    """First model and world, in canonical order, in the world mask that
+    `hit(normals, *extensions of formulas)` returns."""
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1")
+    program, roots, names = _compile(formulas)
+    for n in range(1, max_n + 1):
+        full = _reversal(n)[-1]
+        nvals = 1 << (len(names) * n)
+        vstep = min(nvals, _PAIRS)  # a chunk: fstep frames x vstep valuations
+        fstep = _PAIRS // vstep
+        for rows, normals in _frame_blocks(n, fc, all_points):
+            for f0 in range(0, normals.size, fstep):
+                fr, nm = rows[:, f0:f0 + fstep, None], normals[f0:f0 + fstep, None]
+                for lo in range(0, nvals, vstep):
+                    leaves = _leaves(n, len(names), lo, lo + vstep)
+                    vals = _run(program, (full ^ full, nm, *leaves), fr, full)
+                    mask = hit(nm, *(vals[r] for r in roots))
+                    if mask.any():
+                        mask = np.broadcast_to(mask, (nm.size, vstep))
+                        i, j = divmod(int(np.flatnonzero(mask)[0]), vstep)
+                        frame = Frame(n, tuple(int(r[i, 0]) for r in fr), int(nm[i, 0]))
+                        model = Model(frame, {x: int(leaf[0, j]) for x, leaf in zip(names, leaves)})
+                        world = int(mask[i, j])
+                        return model, (world & -world).bit_length() - 1
+    return None
 
 
 @dataclass(frozen=True)
@@ -211,27 +252,8 @@ class CountermodelReport:
 def find_countermodel(f: Formula, fc: FrameClass, max_n: int) -> CountermodelReport | None:
     """First model (canonical order, sizes 1..max_n) falsifying `f` at a
     normal world, or None."""
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
-    names = tuple(sorted(variables(f)))
-    k = len(names)
-    for n in range(1, max_n + 1):
-        leaves = dict(zip(names, _leaf_arrays(n, k)))
-        ncodes = 1 << (k * n)
-        full = (1 << n) - 1
-        for frame in enumerate_frames(n, fc):
-            if frame.normals == 0:
-                continue  # nothing can fail at a normal point
-            ext = _vec_ext(f, frame, leaves, ncodes)
-            fail = (full ^ ext) & frame.normals
-            bad = np.nonzero(fail)[0]
-            if bad.size:
-                code = int(bad[0])
-                mask = int(fail[code])
-                world = (mask & -mask).bit_length() - 1
-                model = Model(frame, _decode_valuation(code, n, names))
-                return CountermodelReport(f, fc, model, world, n)
-    return None
+    wit = _first_hit((f,), fc, max_n, lambda normals, v: normals & ~v)
+    return None if wit is None else CountermodelReport(f, fc, wit[0], wit[1], wit[0].frame.n)
 
 
 def valid_up_to(f: Formula, fc: FrameClass, max_n: int) -> bool:
@@ -239,38 +261,27 @@ def valid_up_to(f: Formula, fc: FrameClass, max_n: int) -> bool:
     return find_countermodel(f, fc, max_n) is None
 
 
+def _rule_hit(normals: np.ndarray, conclusion: np.ndarray, *premises: np.ndarray) -> np.ndarray:
+    """Normal worlds failing the conclusion, in models of every premise."""
+    out = normals & ~conclusion
+    for p in premises:
+        out = out * ((normals & ~p) == 0)
+    return out
+
+
 def rule_probe_witness(
     premises: Sequence[Formula], conclusion: Formula, fc: FrameClass, max_n: int
 ) -> tuple[Model, int] | None:
     """First model where every premise is true but the conclusion fails at a
     normal world, plus that world."""
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
-    names = tuple(sorted(set().union(*(variables(p) for p in premises), variables(conclusion))))
-    k = len(names)
-    for n in range(1, max_n + 1):
-        leaves = dict(zip(names, _leaf_arrays(n, k)))
-        ncodes = 1 << (k * n)
-        full = (1 << n) - 1
-        for frame in enumerate_frames(n, fc):
-            if frame.normals == 0:
-                continue
-            ok = np.ones(ncodes, dtype=bool)
-            for p in premises:
-                ok &= ((full ^ _vec_ext(p, frame, leaves, ncodes)) & frame.normals) == 0
-            cfail = (full ^ _vec_ext(conclusion, frame, leaves, ncodes)) & frame.normals
-            hit = np.nonzero(ok & (cfail != 0))[0]
-            if hit.size:
-                code = int(hit[0])
-                mask = int(cfail[code])
-                world = (mask & -mask).bit_length() - 1
-                model = Model(frame, _decode_valuation(code, n, names))
-                if any(not true_in_model(model, p) for p in premises):
-                    raise RuntimeError("rule probe witness failed re-verification")
-                if holds(model, world, conclusion):
-                    raise RuntimeError("rule probe witness failed re-verification")
-                return model, world
-    return None
+    wit = _first_hit((conclusion, *premises), fc, max_n, _rule_hit)
+    if wit is not None:
+        model, world = wit
+        if any(not true_in_model(model, p) for p in premises):
+            raise RuntimeError("rule probe witness failed re-verification")
+        if holds(model, world, conclusion):
+            raise RuntimeError("rule probe witness failed re-verification")
+    return wit
 
 
 def rule_preservation_probe(
@@ -289,20 +300,9 @@ def definability_probe(f: Formula, fc: FrameClass, max_n: int) -> tuple[Model, i
     g = desugar(f)
     if g == f:
         return None
-    names = tuple(sorted(variables(f) | variables(g)))
-    k = len(names)
-    for n in range(1, max_n + 1):
-        leaves = dict(zip(names, _leaf_arrays(n, k)))
-        ncodes = 1 << (k * n)
-        for frame in enumerate_frames(n, fc):
-            diff = _vec_ext(f, frame, leaves, ncodes) ^ _vec_ext(g, frame, leaves, ncodes)
-            hit = np.nonzero(diff)[0]
-            if hit.size:
-                code = int(hit[0])
-                mask = int(diff[code])
-                world = (mask & -mask).bit_length() - 1
-                model = Model(frame, _decode_valuation(code, n, names))
-                if holds(model, world, f) == holds(model, world, g):
-                    raise RuntimeError("definability witness failed re-verification")
-                return model, world
-    return None
+    wit = _first_hit((f, g), fc, max_n, lambda normals, a, b: a ^ b, all_points=True)
+    if wit is not None:
+        model, world = wit
+        if holds(model, world, f) == holds(model, world, g):
+            raise RuntimeError("definability witness failed re-verification")
+    return wit
