@@ -6,6 +6,8 @@ checking for the classical strict-implication calculi, and a reproduction
 suite of named validity facts.
 """
 
+from types import ModuleType as _ModuleType
+
 from .catalog import (
     CATALOG,
     CATALOG_BY_NAME,
@@ -98,22 +100,6 @@ from .syntax import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "And", "AxiomInstance", "Bot", "Box", "CATALOG", "CATALOG_BY_NAME",
-    "CountermodelReport", "Derivation", "DerivationError", "Dia",
-    "Expectation", "Formula", "Frame", "FrameClass", "Imp", "Language",
-    "Model", "NAMED_CLASSES", "NamedFormula", "Or", "ParseError", "Path",
-    "RuleApp", "S2", "S2_0", "S3", "ScriptError", "SpotcheckEntry", "Ssi",
-    "Sssi", "Step", "Strict", "SuiteEntryResult", "SuiteReport", "SystemId",
-    "Var", "check", "children", "definability_probe", "desugar",
-    "enumerate_frames", "extension", "find_countermodel", "formula_from_json",
-    "formula_to_json", "frame_from_json", "frame_to_json", "holds",
-    "in_language", "match_schema", "modal_depth", "model_from_json",
-    "model_to_json", "neg", "parse", "parse_script", "pretty", "replace_at",
-    "relation_satisfies", "rule_preservation_probe", "rule_probe_witness",
-    "run_suite", "satisfies_class", "soundness_spotcheck", "subformula_at",
-    "subformulas", "substitute_many", "substitute_uniform",
-    "system_frame_class", "taut", "to_box_language", "to_strict_language",
-    "top", "true_in_model", "two_point_frame", "valid_on_frame",
-    "valid_up_to", "variables", "weight",
-]
+# Every public name imported above; the submodules themselves are left out.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

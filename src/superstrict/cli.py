@@ -156,6 +156,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:  # the parser and the JSON reader recurse per level
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
     raise AssertionError("unhandled command")
 
 

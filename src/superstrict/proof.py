@@ -17,7 +17,7 @@ not validate.  The line-oriented script format is documented in
 
 from __future__ import annotations
 
-import itertools
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -36,11 +36,10 @@ from .syntax import (
     Or,
     ParseError,
     Path,
-    Ssi,
-    Sssi,
     Strict,
     Var,
     children,
+    fold,
     parse,
     replace_at,
     subformula_at,
@@ -157,41 +156,48 @@ def system_frame_class(system: SystemId) -> FrameClass:
     return _SYSTEMS[system].frame_class
 
 
-def _collect_atoms(f: Formula, acc: list[Formula]) -> None:
-    match f:
-        case Bot():
-            pass
-        case And(a, b) | Or(a, b) | Imp(a, b):
-            _collect_atoms(a, acc)
-            _collect_atoms(b, acc)
-        case _:
-            if f not in acc:
-                acc.append(f)
+TAUT_LIMIT = 1 << 26
+"""Largest truth table `taut` builds, in bits: the distinct subformulas it
+evaluates times 2^(distinct opaque atoms).  2^26 bits is 8 MiB."""
 
-
-def _eval_classical(f: Formula, assignment: Mapping[Formula, bool]) -> bool:
-    match f:
-        case Bot():
-            return False
-        case And(a, b):
-            return _eval_classical(a, assignment) and _eval_classical(b, assignment)
-        case Or(a, b):
-            return _eval_classical(a, assignment) or _eval_classical(b, assignment)
-        case Imp(a, b):
-            return (not _eval_classical(a, assignment)) or _eval_classical(b, assignment)
-        case _:
-            return assignment[f]
+_CONNECTIVES = {Bot: lambda: 0, And: operator.and_, Or: operator.or_, Imp: lambda a, b: ~a | b}
 
 
 def taut(f: Formula) -> bool:
     """Classical tautology, with maximal modal subformulas read as opaque
-    atoms."""
-    atoms: list[Formula] = []
-    _collect_atoms(f, atoms)
-    for bits in itertools.product((False, True), repeat=len(atoms)):
-        if not _eval_classical(f, dict(zip(atoms, bits))):
-            return False
-    return True
+    atoms.
+
+    Evaluates once, on truth-table columns: each subformula's value is an
+    int whose bit i is its truth under assignment i of the atoms.  Raises
+    ValueError, before evaluating, when the table would exceed TAUT_LIMIT.
+    """
+    slots: dict[tuple, int] = {}  # one slot per distinct subformula, children first
+
+    def intern(g: Formula, kids: Sequence[int]) -> int:
+        return slots.setdefault((type(g), g.name) if type(g) is Var else (type(g), *kids), len(slots))
+
+    root = fold(f, intern)
+    nodes = list(slots)
+    classical = {root}  # reached from the root through classical connectives only
+    for i in reversed(range(len(nodes))):
+        if i in classical and nodes[i][0] in _CONNECTIVES:
+            classical.update(nodes[i][1:])
+    atoms = [i for i in sorted(classical) if nodes[i][0] not in _CONNECTIVES]
+    if len(classical) << len(atoms) > TAUT_LIMIT:
+        raise ValueError(f"tautology check over {len(atoms)} atoms and {len(classical)} subformulas "
+                         f"exceeds the limit of {TAUT_LIMIT} truth-table bits")
+    value: dict[int, int] = {}
+    width = 1  # assignments so far; each atom doubles them, true in the new half
+    for i in atoms:
+        for a in value:
+            value[a] |= value[a] << width
+        value[i] = (1 << width) - 1 << width
+        width <<= 1
+    full = (1 << width) - 1
+    for i in sorted(classical - value.keys()):
+        t, *kids = nodes[i]
+        value[i] = _CONNECTIVES[t](*(value[k] for k in kids))
+    return value[root] & full == full
 
 
 def match_schema(pattern: Formula, target: Formula) -> dict[str, Formula] | None:
@@ -199,20 +205,17 @@ def match_schema(pattern: Formula, target: Formula) -> dict[str, Formula] | None
 
     Repeated pattern variables must bind the same subformula."""
     binding: dict[str, Formula] = {}
-
-    def walk(p: Formula, t: Formula) -> bool:
-        match p:
-            case Var(name):
-                if name in binding:
-                    return binding[name] == t
-                binding[name] = t
-                return True
-            case _:
-                if type(p) is not type(t):
-                    return False
-                return all(walk(pk, tk) for pk, tk in zip(children(p), children(t)))
-
-    return binding if walk(pattern, target) else None
+    stack = [(pattern, target)]
+    while stack:
+        p, t = stack.pop()
+        if type(p) is Var:
+            if binding.setdefault(p.name, t) != t:
+                return None
+        elif type(p) is not type(t):
+            return None
+        else:
+            stack += zip(children(p), children(t))
+    return binding
 
 
 def _check_axiom(system: SystemId, spec: _SystemSpec, k: int, step: Step) -> None:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .semantics import Frame, FrameClass, Model, holds, satisfies_class, true_in_model
 from .semantics import relation_satisfies  # noqa: F401  callers look it up here
-from .syntax import And, Bot, Box, Dia, Formula, Imp, Or, Ssi, Sssi, Strict, Var, children, desugar
+from .syntax import And, Bot, Box, Dia, Formula, Imp, Or, Ssi, Sssi, Strict, Var, desugar, fold
 
 _PAIRS = 1 << 15  # (frame, valuation) pairs evaluated at once
 _CODES = 1 << 14  # relation codes decoded at once
@@ -137,7 +137,7 @@ def _compile(formulas: Sequence[Formula]) -> tuple[Program, list[int], tuple[str
     def ssi(a: int, b: int) -> int:  # some successor in a, every one in a -> b
         return emit("and", emit("and", emit("ex", a), neg(emit("ex", neg(emit("imp", a, b))))), norm)
 
-    def lower(g: Formula, kids: list[int]) -> int:
+    def lower(g: Formula, kids: Sequence[int]) -> int:
         a, b = (*kids, 0, 0)[:2]
         match g:
             case Var(name):
@@ -158,21 +158,10 @@ def _compile(formulas: Sequence[Formula]) -> tuple[Program, list[int], tuple[str
                 return emit("imp", norm, emit("ex", a))
         raise TypeError(f"not a formula: {g!r}")
 
-    done: dict[int, int] = {}  # id of a node -> its slot
-    stack: list[tuple[Formula, tuple[Formula, ...] | None]] = [(f, None) for f in formulas]
-    while stack:
-        g, kids = stack.pop()
-        if id(g) in done:
-            continue
-        if kids is None:  # first visit: lower the children first
-            kids = children(g)
-            stack.append((g, kids))
-            stack.extend((c, None) for c in kids if id(c) not in done)
-        else:
-            done[id(g)] = lower(g, [done[id(c)] for c in kids])
+    roots = [fold(f, lower) for f in formulas]
     names = tuple(sorted(a for op, a, _ in program if op == "var"))
     program = [("leaf", 2 + names.index(a), 0) if op == "var" else (op, a, b) for op, a, b in program]
-    return program, [done[id(f)] for f in formulas], names
+    return program, roots, names
 
 
 def _run(program: Program, leaves: Sequence, rows: np.ndarray, full: np.unsignedinteger) -> list:
@@ -298,7 +287,7 @@ def definability_probe(f: Formula, fc: FrameClass, max_n: int) -> tuple[Model, i
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     g = desugar(f)
-    if g == f:
+    if g is f:  # f is already in the core language
         return None
     wit = _first_hit((f, g), fc, max_n, lambda normals, a, b: a ^ b, all_points=True)
     if wit is not None:

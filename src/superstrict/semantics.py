@@ -19,8 +19,9 @@ when the frame has no normal point.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .syntax import (
     And,
@@ -34,6 +35,7 @@ from .syntax import (
     Sssi,
     Strict,
     Var,
+    fold,
     variables,
 )
 
@@ -176,28 +178,28 @@ def extension(model: Model, f: Formula) -> int:
     n, rel, normals = frame.n, frame.rel, frame.normals
     full = (1 << n) - 1
 
-    def ext(g: Formula) -> int:
+    def ext(g: Formula, kids: Sequence[int]) -> int:
         match g:
             case Var(name):
                 return model.valuation.get(name, 0)
             case Bot():
                 return 0
-            case And(a, b):
-                return ext(a) & ext(b)
-            case Or(a, b):
-                return ext(a) | ext(b)
-            case Imp(a, b):
-                return (full ^ ext(a)) | ext(b)
-            case Ssi(a, b):
-                ea, eb = ext(a), ext(b)
+            case And():
+                return kids[0] & kids[1]
+            case Or():
+                return kids[0] | kids[1]
+            case Imp():
+                return (full ^ kids[0]) | kids[1]
+            case Ssi():
+                ea, eb = kids
                 out = 0
                 for w in range(n):
                     s = rel[w]
                     if normals >> w & 1 and s & ea and not s & ea & (full ^ eb):
                         out |= 1 << w
                 return out
-            case Sssi(a, b):
-                ea, eb = ext(a), ext(b)
+            case Sssi():
+                ea, eb = kids
                 out = 0
                 for w in range(n):
                     s = rel[w]
@@ -209,22 +211,22 @@ def extension(model: Model, f: Formula) -> int:
                     ):
                         out |= 1 << w
                 return out
-            case Strict(a, b):
-                ea, eb = ext(a), ext(b)
+            case Strict():
+                ea, eb = kids
                 out = 0
                 for w in range(n):
                     if normals >> w & 1 and not rel[w] & ea & (full ^ eb):
                         out |= 1 << w
                 return out
-            case Box(a):
-                ea = ext(a)
+            case Box():
+                ea = kids[0]
                 out = 0
                 for w in range(n):
                     if normals >> w & 1 and not rel[w] & (full ^ ea):
                         out |= 1 << w
                 return out
-            case Dia(a):
-                ea = ext(a)
+            case Dia():
+                ea = kids[0]
                 out = 0
                 for w in range(n):
                     if not normals >> w & 1 or rel[w] & ea:
@@ -232,7 +234,7 @@ def extension(model: Model, f: Formula) -> int:
                 return out
         raise TypeError(f"not a formula: {g!r}")
 
-    return ext(f)
+    return fold(f, ext)
 
 
 def holds(model: Model, world: int, f: Formula) -> bool:
@@ -255,20 +257,10 @@ def valid_on_frame(frame: Frame, f: Formula) -> bool:
     consult any other variable.
     """
     names = sorted(variables(f))
-    n = frame.n
     return all(
         true_in_model(Model(frame, dict(zip(names, masks))), f)
-        for masks in _mask_tuples(n, len(names))
+        for masks in itertools.product(range(1 << frame.n), repeat=len(names))
     )
-
-
-def _mask_tuples(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    if k == 0:
-        yield ()
-        return
-    for rest in _mask_tuples(n, k - 1):
-        for mask in range(1 << n):
-            yield rest + (mask,)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +276,11 @@ def frame_to_json(frame: Frame) -> dict:
 
 
 def frame_from_json(data: object) -> Frame:
+    # `type(x) is int` also rejects JSON booleans, which Python counts as ints
     if not isinstance(data, dict):
         raise ValueError("frame JSON must be an object")
     n = data.get("worlds")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("'worlds' must be a positive integer")
     rel = data.get("rel")
     if not isinstance(rel, list) or len(rel) != n:
@@ -297,12 +290,12 @@ def frame_from_json(data: object) -> Frame:
         if not isinstance(row, list):
             raise ValueError("'rel' rows must be lists of worlds")
         for j in row:
-            if not isinstance(j, int) or not 0 <= j < n:
+            if type(j) is not int or not 0 <= j < n:
                 raise ValueError(f"successor {j!r} of world {i} out of range")
             edges.append((i, j))
     normals = data.get("normals")
     if not isinstance(normals, list) or any(
-        not isinstance(w, int) or not 0 <= w < n for w in normals
+        type(w) is not int or not 0 <= w < n for w in normals
     ):
         raise ValueError("'normals' must be a list of worlds")
     return Frame.from_edges(n, edges, normals)
@@ -325,7 +318,7 @@ def model_from_json(data: object) -> Model:
         if not isinstance(name, str) or not isinstance(worlds, list):
             raise ValueError("'val' must map variables to lists of worlds")
         for w in worlds:
-            if not isinstance(w, int) or not 0 <= w < frame.n:
+            if type(w) is not int or not 0 <= w < frame.n:
                 raise ValueError(f"world {w!r} in extension of {name!r} out of range")
         sets[name] = worlds
     return Model.from_sets(frame, sets)

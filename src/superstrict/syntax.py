@@ -18,9 +18,10 @@ mutually non-associative: mixing two different arrows needs parentheses.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 
 class Formula:
@@ -101,28 +102,68 @@ def neg(f: Formula) -> Formula:
     return Imp(f, Bot())
 
 
+_BINARY = frozenset({And, Or, Imp, Ssi, Sssi, Strict})
+
+
 def children(f: Formula) -> tuple[Formula, ...]:
-    match f:
-        case Var() | Bot():
-            return ()
-        case Box(a) | Dia(a):
-            return (a,)
-        case And(a, b) | Or(a, b) | Imp(a, b) | Ssi(a, b) | Sssi(a, b) | Strict(a, b):
-            return (a, b)
+    t = type(f)
+    if t in _BINARY:
+        return (f.left, f.right)
+    if t is Box or t is Dia:
+        return (f.child,)
+    if t is Var or t is Bot:
+        return ()
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _rebuild(f: Formula, kids: tuple[Formula, ...]) -> Formula:
-    if not kids:
+T = TypeVar("T")
+
+
+def fold(f: Formula, step: Callable[[Formula, Sequence[T]], T]) -> T:
+    """`step(node, results of its children)`, children first, bottom-up.
+
+    Each node object is visited once, so a subformula shared by several
+    parents is folded once.  The walk keeps its own stack, so its depth is
+    bounded by memory, not by Python's recursion limit.
+    """
+    done: dict[int, T] = {}  # id of a node -> its result
+    results: list[T] = []  # results of the nodes whose parent is still open
+    stack: list = [f]  # nodes to visit, and (node, number of children) to close
+    while stack:
+        g = stack.pop()
+        if type(g) is tuple:
+            g, k = g
+            r = step(g, results[-k:])
+            del results[-k:]
+        elif id(g) in done:
+            results.append(done[id(g)])
+            continue
+        else:
+            kids = children(g)
+            if kids:
+                stack.append((g, len(kids)))
+                stack += reversed(kids)
+                continue
+            r = step(g, ())
+        done[id(g)] = r
+        results.append(r)
+    return results[0]
+
+
+def _rebuild(f: Formula, kids: Sequence[Formula]) -> Formula:
+    """`f` over `kids`; `f` itself when every child object is unchanged."""
+    if all(map(operator.is_, kids, children(f))):
         return f
     return type(f)(*kids)
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
     """Pre-order traversal, the node itself first."""
-    yield f
-    for kid in children(f):
-        yield from subformulas(kid)
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(reversed(children(g)))
 
 
 def variables(f: Formula) -> frozenset[str]:
@@ -145,14 +186,11 @@ def in_language(f: Formula, lang: Language) -> bool:
 
 def weight(f: Formula) -> int:
     """Number of binary connective nodes; box and dia contribute nothing."""
-    return sum(1 for g in subformulas(f) if isinstance(g, (And, Or, Imp, Ssi, Sssi, Strict)))
+    return sum(1 for g in subformulas(f) if type(g) in _BINARY)
 
 
 def modal_depth(f: Formula) -> int:
-    kid_depth = max((modal_depth(k) for k in children(f)), default=0)
-    if isinstance(f, (Ssi, Sssi, Box, Dia, Strict)):
-        return 1 + kid_depth
-    return kid_depth
+    return fold(f, lambda g, kids: max(kids, default=0) + isinstance(g, (Ssi, Sssi, Box, Dia, Strict)))
 
 
 def substitute_uniform(f: Formula, name: str, replacement: Formula) -> Formula:
@@ -162,13 +200,7 @@ def substitute_uniform(f: Formula, name: str, replacement: Formula) -> Formula:
 
 def substitute_many(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Simultaneous uniform substitution."""
-    if isinstance(f, Var):
-        return mapping.get(f.name, f)
-    kids = children(f)
-    if not kids:
-        return f
-    new = tuple(substitute_many(k, mapping) for k in kids)
-    return f if new == kids else _rebuild(f, new)
+    return fold(f, lambda g, kids: mapping.get(g.name, g) if type(g) is Var else _rebuild(g, kids))
 
 
 Path = tuple[int, ...]
@@ -200,13 +232,24 @@ def replace_at(f: Formula, paths: Iterable[Iterable[int]], replacement: Formula)
     def go(node: Formula, here: Path) -> Formula:
         if here in pset:
             return replacement
-        kids = children(node)
-        if not kids:
-            return node
-        new = tuple(go(kid, here + (i,)) for i, kid in enumerate(kids))
-        return node if new == kids else _rebuild(node, new)
+        return _rebuild(node, [go(kid, here + (i,)) for i, kid in enumerate(children(node))])
 
     return go(f, ())
+
+
+def _desugar_step(g: Formula, kids: Sequence[Formula]) -> Formula:
+    match g:
+        case Sssi():
+            a, b = kids
+            return And(Ssi(a, b), Ssi(neg(b), top()))
+        case Dia():
+            return Ssi(kids[0], top())
+        case Box():
+            return neg(Ssi(neg(kids[0]), top()))
+        case Strict():
+            a, b = kids
+            return neg(Ssi(And(a, neg(b)), top()))
+    return _rebuild(g, kids)
 
 
 def desugar(f: Formula) -> Formula:
@@ -214,24 +257,23 @@ def desugar(f: Formula) -> Formula:
 
     ||> unfolds to its defining conjunction, dia a to `a |> top`, box a to
     `~(~a |> top)`, and => to `~((a & ~b) |> top)`.  Idempotent; the result
-    uses only core connectives.
+    uses only core connectives, and is `f` itself when `f` already does.
     """
-    match f:
-        case Var() | Bot():
-            return f
-        case Sssi(a, b):
-            da, db = desugar(a), desugar(b)
-            return And(Ssi(da, db), Ssi(neg(db), top()))
-        case Dia(a):
-            return Ssi(desugar(a), top())
-        case Box(a):
-            return neg(Ssi(neg(desugar(a)), top()))
-        case Strict(a, b):
-            return neg(Ssi(And(desugar(a), neg(desugar(b))), top()))
-        case _:
-            kids = children(f)
-            new = tuple(desugar(k) for k in kids)
-            return f if new == kids else _rebuild(f, new)
+    return fold(f, _desugar_step)
+
+
+def _box_step(g: Formula, kids: Sequence[Formula]) -> Formula:
+    match g:
+        case Ssi():
+            a, b = kids
+            return And(Dia(a), Box(Imp(a, b)))
+        case Strict():
+            return Box(Imp(*kids))
+        case Sssi():
+            a, b = kids
+            nb = neg(b)
+            return And(And(Dia(a), Box(Imp(a, b))), And(Dia(nb), Box(Imp(nb, top()))))
+    return _rebuild(g, kids)
 
 
 def to_box_language(f: Formula) -> Formula:
@@ -242,25 +284,27 @@ def to_box_language(f: Formula) -> Formula:
     Truth-preserving at every point, normal or not, under the primitive
     clauses.
     """
-    match f:
-        case Var() | Bot():
-            return f
-        case Ssi(a, b):
-            ta, tb = to_box_language(a), to_box_language(b)
-            return And(Dia(ta), Box(Imp(ta, tb)))
-        case Strict(a, b):
-            return Box(Imp(to_box_language(a), to_box_language(b)))
-        case Sssi(a, b):
-            ta, tb = to_box_language(a), to_box_language(b)
-            nb = neg(tb)
-            return And(
-                And(Dia(ta), Box(Imp(ta, tb))),
-                And(Dia(nb), Box(Imp(nb, top()))),
-            )
-        case _:
-            kids = children(f)
-            new = tuple(to_box_language(k) for k in kids)
-            return f if new == kids else _rebuild(f, new)
+    return fold(f, _box_step)
+
+
+def _dia_strict(g: Formula) -> Formula:
+    return neg(Strict(top(), neg(g)))
+
+
+def _strict_step(g: Formula, kids: Sequence[Formula]) -> Formula:
+    match g:
+        case Ssi():
+            a, b = kids
+            return And(_dia_strict(a), Strict(a, b))
+        case Sssi():
+            a, b = kids
+            nb = neg(b)
+            return And(And(_dia_strict(a), Strict(a, b)), And(_dia_strict(nb), Strict(nb, top())))
+        case Box():
+            return Strict(top(), kids[0])
+        case Dia():
+            return _dia_strict(kids[0])
+    return _rebuild(g, kids)
 
 
 def to_strict_language(f: Formula) -> Formula:
@@ -270,31 +314,7 @@ def to_strict_language(f: Formula) -> Formula:
     possible antecedent plus strictness.  Truth-preserving at every point
     under the primitive clauses.
     """
-
-    def dia_s(g: Formula) -> Formula:
-        return neg(Strict(top(), neg(g)))
-
-    match f:
-        case Var() | Bot():
-            return f
-        case Ssi(a, b):
-            ta, tb = to_strict_language(a), to_strict_language(b)
-            return And(dia_s(ta), Strict(ta, tb))
-        case Sssi(a, b):
-            ta, tb = to_strict_language(a), to_strict_language(b)
-            nb = neg(tb)
-            return And(
-                And(dia_s(ta), Strict(ta, tb)),
-                And(dia_s(nb), Strict(nb, top())),
-            )
-        case Box(a):
-            return Strict(top(), to_strict_language(a))
-        case Dia(a):
-            return dia_s(to_strict_language(a))
-        case _:
-            kids = children(f)
-            new = tuple(to_strict_language(k) for k in kids)
-            return f if new == kids else _rebuild(f, new)
+    return fold(f, _strict_step)
 
 
 # ---------------------------------------------------------------------------
@@ -459,37 +479,33 @@ _ARROW_TEXT = {Imp: "->", Strict: "=>", Ssi: "|>", Sssi: "||>"}
 
 def pretty(f: Formula) -> str:
     """Minimal-parenthesization concrete syntax; parse(pretty(f)) == f."""
-    return _pp(f, 0)
+    return fold(f, _pretty_step)[0]
 
 
-def _pp(f: Formula, need: int) -> str:
-    # precedence: atoms 5, prefix 4, & 3, | 2, arrows 1
-    match f:
-        case Var(name):
-            return name
-        case Bot():
-            return "bot"
-        case Imp(Bot(), Bot()):
-            return "top"
-        case Imp(a, Bot()):
-            text, prec = "~" + _pp(a, 4), 4
-        case Box(a):
-            text, prec = "box " + _pp(a, 4), 4
-        case Dia(a):
-            text, prec = "dia " + _pp(a, 4), 4
-        case And(a, b):
-            text, prec = _pp(a, 4) + " & " + _pp(b, 3), 3
-        case Or(a, b):
-            text, prec = _pp(a, 3) + " | " + _pp(b, 2), 2
-        case Imp(a, b) | Strict(a, b) | Ssi(a, b) | Sssi(a, b):
-            # a same-operator right operand continues the chain, anything
-            # else at arrow level needs parentheses
-            right_need = 1 if type(b) is type(f) else 2
-            text = _pp(a, 2) + " " + _ARROW_TEXT[type(f)] + " " + _pp(b, right_need)
-            prec = 1
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
+def _operand(kid: tuple[str, int], need: int) -> str:
+    text, prec = kid
     return "(" + text + ")" if prec < need else text
+
+
+def _pretty_step(g: Formula, kids: Sequence[tuple[str, int]]) -> tuple[str, int]:
+    """The text of `g` and its precedence: atoms 5, prefix 4, & 3, | 2, arrows 1."""
+    t = type(g)
+    if t is Var:
+        return g.name, 5
+    if t is Bot:
+        return "bot", 5
+    if t is Imp and type(g.right) is Bot:
+        return ("top", 5) if type(g.left) is Bot else ("~" + _operand(kids[0], 4), 4)
+    if t is Box or t is Dia:
+        return ("box " if t is Box else "dia ") + _operand(kids[0], 4), 4
+    a, b = kids
+    if t is And:
+        return _operand(a, 4) + " & " + _operand(b, 3), 3
+    if t is Or:
+        return _operand(a, 3) + " | " + _operand(b, 2), 2
+    # a same-operator right operand continues the chain, anything else at
+    # arrow level needs parentheses
+    return _operand(a, 2) + " " + _ARROW_TEXT[t] + " " + _operand(b, 1 if type(g.right) is t else 2), 1
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +527,7 @@ _NAME_OP = {v: k for k, v in _OP_NAME.items()}
 
 
 def formula_to_json(f: Formula) -> dict:
-    if isinstance(f, Var):
-        return {"op": "var", "args": [f.name]}
-    return {"op": _OP_NAME[type(f)], "args": [formula_to_json(k) for k in children(f)]}
+    return fold(f, lambda g, kids: {"op": _OP_NAME[type(g)], "args": [g.name] if type(g) is Var else list(kids)})
 
 
 def formula_from_json(data: object) -> Formula:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from superstrict.cli import main
+from superstrict.proof import TAUT_LIMIT
 from superstrict.syntax import formula_to_json, parse
 
 DATA = Path(__file__).parent / "data"
@@ -178,3 +179,50 @@ class TestUsageErrors:
 
     def test_unknown_system(self, capsys):
         assert main(["prove", "--system", "s6", "--script", "x"]) == 2
+
+
+class TestDeepInput:
+    """Input nested past Python's recursion limit exits 2, never with a traceback."""
+
+    @pytest.mark.parametrize("formula", ["~" * 3000 + "p", "(" * 400 + "p" + ")" * 400],
+                             ids=["3000-negations", "400-parentheses"])
+    def test_parse(self, capsys, formula):
+        assert main(["parse", "--formula", formula]) == 2
+        assert capsys.readouterr().err == "error: input nested too deeply\n"
+
+    def test_translate_arrow_chain(self, capsys):
+        # the translations and the printer walk iteratively, so this one succeeds
+        chain = " -> ".join(["p"] * 1501)
+        assert main(["translate", "--to", "core", "--formula", chain]) == 0
+        assert capsys.readouterr().out == chain + "\n"
+
+    def test_eval_deep_json_model(self, capsys, tmp_path):
+        model = tmp_path / "deep.json"
+        model.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["eval", "--formula", "p", "--model", str(model), "--world", "0"]) == 2
+        assert capsys.readouterr().err == "error: input nested too deeply\n"
+
+
+class TestBooleansInModels:
+    @pytest.mark.parametrize("model", [
+        {"worlds": True, "rel": [[0]], "normals": [0], "val": {"p": [0]}},
+        {"worlds": 1, "rel": [[False]], "normals": [0], "val": {"p": [0]}},
+        {"worlds": 1, "rel": [[0]], "normals": [False], "val": {"p": [0]}},
+        {"worlds": 1, "rel": [[0]], "normals": [0], "val": {"p": [False]}},
+    ], ids=["worlds", "successor", "normal", "valuation"])
+    def test_rejected(self, capsys, tmp_path, model):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        assert main(["eval", "--formula", "p", "--model", str(path), "--world", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+class TestTautologyLimit:
+    def test_forty_atom_pc_step_exits_2(self, capsys, tmp_path):
+        atoms = [f"p{i}" for i in range(40)]
+        script = tmp_path / "wide.proof"
+        script.write_text(f"1. ({' & '.join(atoms)}) -> p0 ; axiom pc\n")
+        assert main(["prove", "--system", "lemmon-s2", "--script", str(script)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tautology check over 40 atoms")
+        assert str(TAUT_LIMIT) in err

@@ -1,0 +1,107 @@
+"""Formulas far deeper than Python's recursion limit go through every
+bottom-up walk: the translations, substitution, modal depth, the printer,
+the JSON form, the scalar evaluator and `taut` all run on `fold`."""
+
+import sys
+
+import pytest
+
+from superstrict.proof import taut
+from superstrict.semantics import Frame, Model, extension
+from superstrict.syntax import (
+    And,
+    Box,
+    Imp,
+    Var,
+    children,
+    desugar,
+    fold,
+    formula_to_json,
+    modal_depth,
+    parse,
+    pretty,
+    substitute_many,
+    to_box_language,
+    to_strict_language,
+)
+
+DEPTH = 5000
+P, Q = Var("p"), Var("q")
+
+# one reflexive normal world where p holds
+LOOP = Model(Frame.from_edges(1, [(0, 0)], [0]), {"p": 1})
+
+
+def box_chain():
+    f = P
+    for _ in range(DEPTH):
+        f = Box(f)
+    return f
+
+
+def imp_chain():
+    """p -> p -> ... -> p, nested to the right."""
+    f = P
+    for _ in range(DEPTH):
+        f = Imp(P, f)
+    return f
+
+
+def json_depth(data):
+    depth = 0
+    while data["op"] != "var":
+        data, depth = data["args"][-1], depth + 1
+    return depth
+
+
+def test_depth_exceeds_the_recursion_limit():
+    assert DEPTH > sys.getrecursionlimit()
+
+
+def test_box_chain():
+    f = box_chain()
+    assert modal_depth(f) == DEPTH
+    assert pretty(f) == "box " * DEPTH + "p"
+    assert pretty(substitute_many(f, {"p": Q})) == "box " * DEPTH + "q"
+    assert to_box_language(f) is f
+    assert pretty(to_strict_language(f)) == "top => " * DEPTH + "p"
+    assert modal_depth(desugar(f)) == DEPTH
+    assert json_depth(formula_to_json(f)) == DEPTH
+    assert extension(LOOP, f) == 1
+
+
+def test_imp_chain():
+    f = imp_chain()
+    assert modal_depth(f) == 0
+    assert pretty(f) == " -> ".join(["p"] * (DEPTH + 1))
+    assert pretty(substitute_many(f, {"p": Q})) == " -> ".join(["q"] * (DEPTH + 1))
+    assert desugar(f) is f
+    assert to_box_language(f) is f
+    assert to_strict_language(f) is f
+    assert json_depth(formula_to_json(f)) == DEPTH
+    assert extension(LOOP, f) == 1
+    assert taut(f)
+
+
+def test_fold_visits_each_node_object_once():
+    # 101 node objects, 2^101 - 1 nodes as a tree
+    f = P
+    for _ in range(100):
+        f = And(f, f)
+    calls = []
+    assert fold(f, lambda g, kids: calls.append(g) or 1 + max(kids, default=0)) == 101
+    assert len(calls) == 101
+    assert desugar(f) is f
+    assert modal_depth(f) == 0
+
+
+def post_order(f):
+    return [g for kid in children(f) for g in post_order(kid)] + [f]
+
+
+@pytest.mark.parametrize("text", ["p & q -> r", "box (p |> q) ||> dia r", "~(p => q) | top"])
+def test_fold_runs_children_first_left_to_right(text):
+    f = parse(text)
+    order = []
+    fold(f, lambda g, kids: order.append(g))
+    assert [id(g) for g in order] == [id(g) for g in post_order(f)]

@@ -1,5 +1,6 @@
 """Axiomatic derivation checking for both proof styles."""
 
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,10 @@ from superstrict.proof import (
     soundness_spotcheck,
     system_frame_class,
     taut,
+    TAUT_LIMIT,
 )
 from superstrict.semantics import S2, S2_0, S3
-from superstrict.syntax import Var, parse
+from superstrict.syntax import Imp, Var, parse
 
 DATA = Path(__file__).parent / "data"
 
@@ -50,6 +52,31 @@ class TestTaut:
     def test_opaque_atoms_are_whole_subtrees(self):
         # dia p and box p are distinct atoms, so this is contingent
         assert not taut(parse("dia p -> dia q"))
+
+    def test_twenty_atoms(self):
+        atoms = [f"p{i}" for i in range(20)]
+        assert taut(parse(f"({' & '.join(atoms)}) -> p19"))
+        assert not taut(parse(f"({' | '.join(atoms)}) -> p19"))
+
+    def test_limit_is_checked_before_evaluating(self):
+        # 40 atoms would need a 2^40-bit table per subformula
+        f = parse(" & ".join(f"p{i}" for i in range(40)) + " -> p0")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"limit of {TAUT_LIMIT} truth-table bits"):
+                taut(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_limit_counts_maximal_atoms_only(self):
+        # b13 -> ... -> b0 -> b0 over fourteen boxes of 42 variables: 14 atoms, not 56
+        boxes = [parse(f"box (q{3 * i} & q{3 * i + 1} & q{3 * i + 2})") for i in range(14)]
+        f = boxes[0]
+        for g in boxes:
+            f = Imp(g, f)
+        assert taut(f)
 
 
 class TestMatchSchema:

@@ -252,3 +252,14 @@ class TestJsonForms:
             model_from_json({"worlds": 1, "rel": [[]], "normals": [1], "val": {}})
         with pytest.raises(ValueError, match="out of range"):
             model_from_json({"worlds": 1, "rel": [[]], "normals": [], "val": {"p": [3]}})
+
+    def test_booleans_are_not_worlds(self):
+        # Python counts True and False as the integers 1 and 0
+        with pytest.raises(ValueError, match="'worlds'"):
+            model_from_json({"worlds": True, "rel": [[0]], "normals": [0], "val": {"p": [0]}})
+        with pytest.raises(ValueError, match="successor"):
+            frame_from_json({"worlds": 2, "rel": [[True], []], "normals": [0]})
+        with pytest.raises(ValueError, match="'normals'"):
+            frame_from_json({"worlds": 2, "rel": [[1], []], "normals": [False]})
+        with pytest.raises(ValueError, match="out of range"):
+            model_from_json({"worlds": 2, "rel": [[1], []], "normals": [0], "val": {"p": [True]}})
