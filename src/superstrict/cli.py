@@ -5,11 +5,19 @@ Exit status 0 reports success (or the expected verdict), 1 a negative
 verdict (countermodel found under --expect-valid, refuted validity claim,
 failed proof check, suite mismatches), and 2 a usage, parse, or input
 error.  All output is deterministic.
+
+`translate` refuses, before printing, any translation that could print
+more than 2^24 characters (PRINT_LIMIT), and `suite --json FILE` opens
+FILE before the suite runs.  From Python, `main(argv)` may be called any
+number of times in one process: the argument parser is built on the first
+call and reused, and it holds no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 
@@ -17,7 +25,12 @@ from .catalog import run_suite
 from .proof import DerivationError, ScriptError, SystemId, check, parse_script
 from .search import CountermodelReport, find_countermodel
 from .semantics import NAMED_CLASSES, holds, model_from_json, model_to_json
-from .syntax import ParseError, desugar, parse, pretty, formula_to_json, to_box_language, to_strict_language
+from .syntax import (Bot, Imp, ParseError, Var, desugar, fold, formula_to_json, parse, pretty, to_box_language,
+                     to_strict_language)
+
+# The most characters `translate` prints.  Each level of a left-nested `|>`
+# chain doubles the box and strict translations.
+PRINT_LIMIT = 2**24
 
 
 def _positive_int(text: str) -> int:
@@ -30,6 +43,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _printed_length_bound(g, kids) -> int:
+    """A `fold` step: at least the length of `pretty(g)`.
+
+    A negation adds "~" and parentheses; any other operator adds at most 5
+    characters (" ||> ") and parentheses around each operand.
+    """
+    if not kids:
+        return len(g.name) if type(g) is Var else 3  # a variable, or "bot"
+    if type(g) is Imp and type(g.right) is Bot:
+        return kids[0] + 3  # "~(a)", or "top"
+    return sum(kids) + 2 * len(kids) + 5
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="superstrict", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -126,7 +153,10 @@ def main(argv: list[str] | None = None) -> int:
             case "translate":
                 f = parse(args.formula)
                 fn = {"core": desugar, "box": to_box_language, "strict": to_strict_language}[args.target]
-                print(pretty(fn(f)))
+                g = fn(f)
+                if fold(g, _printed_length_bound) > PRINT_LIMIT:
+                    raise ValueError(f"the translation could print more than {PRINT_LIMIT} characters")
+                print(pretty(g))
                 return 0
             case "prove":
                 with open(args.script, encoding="utf-8") as fh:
@@ -144,10 +174,12 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"ok ({len(derivation.steps)} steps)")
                 return 0
             case "suite":
-                report = run_suite(args.max_n)
-                print(report.table(), end="")
-                if args.json_file:
-                    with open(args.json_file, "w", encoding="utf-8") as fh:
+                # open the report file first, so a bad path fails before the scans
+                with (open(args.json_file, "w", encoding="utf-8") if args.json_file
+                      else contextlib.nullcontext()) as fh:
+                    report = run_suite(args.max_n)
+                    print(report.table(), end="")
+                    if fh:
                         fh.write(report.to_json())
                 return 0 if report.mismatches == 0 else 1
     except ParseError as exc:

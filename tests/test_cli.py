@@ -1,13 +1,18 @@
 """End-to-end command line tests, run in process via main(argv)."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
-from superstrict.cli import main
+from superstrict import cli
+from superstrict.cli import PRINT_LIMIT, main
 from superstrict.proof import TAUT_LIMIT
-from superstrict.syntax import formula_to_json, parse
+from superstrict.syntax import desugar, fold, formula_to_json, parse, pretty, to_box_language, to_strict_language
+
+from strategies import formulas
 
 DATA = Path(__file__).parent / "data"
 
@@ -226,3 +231,87 @@ class TestTautologyLimit:
         err = capsys.readouterr().err
         assert err.startswith("error: tautology check over 40 atoms")
         assert str(TAUT_LIMIT) in err
+
+
+def _left_chain(levels: int) -> str:
+    """`(((p) |> p) |> p) ... |> p`, whose box and strict translations double per level."""
+    text = "p"
+    for _ in range(levels):
+        text = f"({text}) |> p"
+    return text
+
+
+class TestTranslateLimit:
+    @pytest.mark.parametrize("target", ["box", "strict"])
+    def test_forty_levels_exit_2_before_printing(self, capsys, target):
+        assert main(["translate", "--to", target, "--formula", _left_chain(40)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: the translation could print more than {PRINT_LIMIT} characters\n"
+
+    @pytest.mark.parametrize("target, length, sha256", [
+        ("box", 81_901, "1ff9d8abfa0fb5f1544f48692416f0c277fdffa61a3b226d070c28049ebbd309"),
+        ("strict", 94_186, "ea9db5169b70fbb92b39695ed40678f1f4d2533cf9406e32be542d768d6b65f6"),
+    ])
+    def test_twelve_levels_print_as_before(self, capsys, target, length, sha256):
+        assert main(["translate", "--to", target, "--formula", _left_chain(12)]) == 0
+        out = capsys.readouterr().out.encode()
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (length, sha256)
+
+    @given(formulas())
+    def test_bound_covers_the_printed_length(self, f):
+        for g in (f, desugar(f), to_box_language(f), to_strict_language(f)):
+            assert fold(g, cli._printed_length_bound) >= len(pretty(g))
+
+
+class TestSuiteJsonPath:
+    def test_bad_path_fails_before_the_scans(self, capsys, tmp_path, monkeypatch):
+        def no_scan(max_n):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli, "run_suite", no_scan)
+        path = tmp_path / "missing" / "report.json"
+        assert main(["suite", "--max-n", "2", "--json", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
+        assert not path.exists()
+
+
+class TestSharedParser:
+    def test_built_once_per_process(self, capsys):
+        cli._build_parser.cache_clear()
+        for _ in range(50):
+            assert main(["parse", "--formula", "p |> q"]) == 0
+        assert capsys.readouterr().out == "p |> q\n" * 50
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_interleaved_calls_match_calls_made_alone(self, capsys, tmp_path):
+        report = str(tmp_path / "report.json")
+        calls = [
+            ["valid", "--formula", "p", "--class", "s9", "--max-n", "1"],
+            ["--help"],
+            ["parse", "--formula", "~p & bot", "--json"],
+            ["parse", "--formula", "~p & bot"],
+            ["countermodel", "--formula", "box top", "--class", "s2_0", "--max-n", "2", "--expect-valid"],
+            ["countermodel", "--formula", "box top", "--class", "s2_0", "--max-n", "2"],
+            ["suite", "--max-n", "2", "--json", report],
+            ["suite", "--max-n", "2"],
+            ["parse", "--help"],
+            ["parse"],
+            ["translate", "--formula", "p |> q", "--to", "box"],
+        ]
+
+        def run(argv, fresh):
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = main(argv)
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        alone = [run(argv, fresh=True) for argv in calls]
+        written = Path(report).read_bytes()
+        Path(report).unlink()
+        assert [run(argv, fresh=False) for argv in calls] == alone
+        assert Path(report).read_bytes() == written
+        assert [code for code, _, _ in alone] == [2, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0]
