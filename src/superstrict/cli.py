@@ -1,10 +1,4 @@
-"""Command line front end.
-
-Subcommands: parse, eval, valid, countermodel, translate, prove, suite.
-Exit status 0 reports success (or the expected verdict), 1 a negative
-verdict (countermodel found under --expect-valid, refuted validity claim,
-failed proof check, suite mismatches), and 2 a usage, parse, or input
-error.  All output is deterministic.
+"""Command line front end; `_DESCRIPTION` is what `superstrict --help` says.
 
 `translate` refuses, before printing, any translation that could print
 more than 2^24 characters (PRINT_LIMIT), and `suite --json FILE` opens
@@ -27,6 +21,12 @@ from .search import CountermodelReport, find_countermodel
 from .semantics import NAMED_CLASSES, holds, model_from_json, model_to_json
 from .syntax import (Bot, Imp, ParseError, Var, desugar, fold, formula_to_json, parse, pretty, to_box_language,
                      to_strict_language)
+
+_DESCRIPTION = """Subcommands: parse, eval, valid, countermodel, translate, prove, suite.
+Exit status 0 reports success (or the expected verdict), 1 a negative
+verdict (countermodel found under --expect-valid, refuted validity claim,
+failed proof check, suite mismatches), and 2 a usage, parse, or input
+error.  All output is deterministic."""
 
 # The most characters `translate` prints.  Each level of a left-nested `|>`
 # chain doubles the box and strict translations.
@@ -58,7 +58,7 @@ def _printed_length_bound(g, kids) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="superstrict", description=__doc__)
+    top = argparse.ArgumentParser(prog="superstrict", description=_DESCRIPTION)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_formula(p: argparse.ArgumentParser) -> None:
@@ -188,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # the parser and the JSON reader recurse per level
+    except RecursionError:  # the json module's reader, and == or hash on deep formulas while checking proofs
         print("error: input nested too deeply", file=sys.stderr)
         return 2
     raise AssertionError("unhandled command")

@@ -128,26 +128,26 @@ _LEMMON_TYPES = Language.BOX.value
 @dataclass(frozen=True)
 class _SystemSpec:
     axioms: Mapping[str, Formula]
-    schematic: bool
-    has_pc: bool
+    schematic: bool  # axioms are schemas and every tautology is an axiom ('pc')
     rules: frozenset[str]
     allowed_types: frozenset[type]
     frame_class: FrameClass
 
 
 _LEWIS_RULES = frozenset({"us", "sse", "adj", "sdet"})
+_PREMISES = {"us": 1, "sse": 2, "adj": 2, "sdet": 2, "mp": 2, "br": 1, "nrest": 1}  # rule -> premise count
 
 _SYSTEMS: dict[SystemId, _SystemSpec] = {
-    SystemId.LEWIS_S2: _SystemSpec(_LEWIS_AXIOMS, False, False, _LEWIS_RULES, _LEWIS_TYPES, S2),
-    SystemId.LEWIS_S3: _SystemSpec(_LEWIS_S3_AXIOMS, False, False, _LEWIS_RULES, _LEWIS_TYPES, S3),
+    SystemId.LEWIS_S2: _SystemSpec(_LEWIS_AXIOMS, False, _LEWIS_RULES, _LEWIS_TYPES, S2),
+    SystemId.LEWIS_S3: _SystemSpec(_LEWIS_S3_AXIOMS, False, _LEWIS_RULES, _LEWIS_TYPES, S3),
     SystemId.LEMMON_S2_0: _SystemSpec(
-        {"k": _LEMMON_SCHEMAS["k"]}, True, True, frozenset({"mp", "br", "nrest"}), _LEMMON_TYPES, S2_0
+        {"k": _LEMMON_SCHEMAS["k"]}, True, frozenset({"mp", "br", "nrest"}), _LEMMON_TYPES, S2_0
     ),
     SystemId.LEMMON_S2: _SystemSpec(
-        _LEMMON_SCHEMAS, True, True, frozenset({"mp", "br", "nrest"}), _LEMMON_TYPES, S2
+        _LEMMON_SCHEMAS, True, frozenset({"mp", "br", "nrest"}), _LEMMON_TYPES, S2
     ),
     SystemId.LEMMON_S3: _SystemSpec(
-        _LEMMON_S3_SCHEMAS, True, True, frozenset({"mp", "nrest"}), _LEMMON_TYPES, S3
+        _LEMMON_S3_SCHEMAS, True, frozenset({"mp", "nrest"}), _LEMMON_TYPES, S3
     ),
 }
 
@@ -223,7 +223,7 @@ def _check_axiom(system: SystemId, spec: _SystemSpec, k: int, step: Step) -> Non
     assert isinstance(just, AxiomInstance)
     name = just.axiom
     if name == "pc":
-        if not spec.has_pc:
+        if not spec.schematic:
             raise DerivationError(k, f"axiom 'pc' is not available in {system.value}")
         if just.substitution:
             raise DerivationError(k, "axiom 'pc' takes no substitution")
@@ -256,6 +256,8 @@ def _check_rule(system: SystemId, spec: _SystemSpec, d: Derivation, k: int, step
     rule = just.rule
     if rule not in spec.rules:
         raise DerivationError(k, f"rule {rule!r} is not available in {system.value}")
+    if len(just.premises) != (count := _PREMISES[rule]):
+        raise DerivationError(k, f"rule {rule!r} takes {count} premise{'s' * (count > 1)}, got {len(just.premises)}")
     match rule:
         case "us":
             (i,) = just.premises
@@ -335,8 +337,6 @@ def _check_rule(system: SystemId, spec: _SystemSpec, d: Derivation, k: int, step
                 raise DerivationError(k, "restricted necessitation needs a tautological premise")
             if step.formula != Box(prem):
                 raise DerivationError(k, "formula is not the boxed premise")
-        case _:
-            raise DerivationError(k, f"unknown rule {rule!r}")
 
 
 def check(system: SystemId, d: Derivation) -> None:
@@ -419,7 +419,8 @@ def _parse_path(line_no: int, token: str) -> Path:
     return tuple(int(p) for p in parts)
 
 
-def _parse_indices(line_no: int, tokens: Sequence[str], count: int, rule: str) -> tuple[int, ...]:
+def _parse_indices(line_no: int, tokens: Sequence[str], rule: str) -> tuple[int, ...]:
+    count = _PREMISES[rule]
     if len(tokens) != count or not all(t.isdigit() for t in tokens):
         plural = "premise step numbers" if count > 1 else "premise step number"
         raise ScriptError(line_no, f"rule {rule!r} needs {count} {plural}")
@@ -449,13 +450,11 @@ def _parse_justification(line_no: int, text: str) -> AxiomInstance | RuleApp:
             tokens = rest.split()
             if len(tokens) < 4 or tokens[2] != "at":
                 raise ScriptError(line_no, "rule 'sse' looks like: sse <i> <j> at <path> ...")
-            i, j = _parse_indices(line_no, tokens[:2], 2, "sse")
+            i, j = _parse_indices(line_no, tokens[:2], "sse")
             paths = tuple(_parse_path(line_no, t) for t in tokens[3:])
             return RuleApp("sse", (i, j), paths=paths)
-        case "adj" | "sdet" | "mp":
-            return RuleApp(head, _parse_indices(line_no, rest.split(), 2, head))
-        case "br" | "nrest":
-            return RuleApp(head, _parse_indices(line_no, rest.split(), 1, head))
+        case _ if head in _PREMISES:  # adj, sdet, mp, br, nrest
+            return RuleApp(head, _parse_indices(line_no, rest.split(), head))
         case _:
             raise ScriptError(line_no, f"unknown justification {head!r}")
 

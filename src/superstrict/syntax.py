@@ -11,9 +11,14 @@ Concrete grammar (ASCII):
 Binding strength is {~, box, dia} > & > | > arrows.  Every binary operator
 associates to the right.  The four arrows share one precedence level and are
 mutually non-associative: mixing two different arrows needs parentheses.
+`_INFIX` and `_PREFIX` hold this notation once, for the parser and the printer.
 
 `top` and `~` are notation, not AST nodes: the parser expands `top` to
 `bot -> bot` and `~a` to `a -> bot`, and the printer folds both back.
+
+No function here recurses: the parser, `fold` and the other walks keep
+their own stacks, so their depth is bounded by memory.  Structural `==` and
+`hash` on the dataclasses still recurse once per level.
 """
 
 from __future__ import annotations
@@ -206,14 +211,19 @@ def substitute_many(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
 Path = tuple[int, ...]
 
 
-def subformula_at(f: Formula, path: Iterable[int]) -> Formula:
-    node = f
+def _walk(f: Formula, path: Iterable[int]) -> list[Formula]:
+    """The nodes along `path`, from `f` down to the one it addresses."""
+    nodes = [f]
     for i, step in enumerate(path):
-        kids = children(node)
+        kids = children(nodes[-1])
         if not 0 <= step < len(kids):
             raise ValueError(f"invalid path at position {i}: node has {len(kids)} children")
-        node = kids[step]
-    return node
+        nodes.append(kids[step])
+    return nodes
+
+
+def subformula_at(f: Formula, path: Iterable[int]) -> Formula:
+    return _walk(f, path)[-1]
 
 
 def replace_at(f: Formula, paths: Iterable[Iterable[int]], replacement: Formula) -> Formula:
@@ -221,20 +231,34 @@ def replace_at(f: Formula, paths: Iterable[Iterable[int]], replacement: Formula)
 
     Every path must address the same formula (syntactic identity); the
     occurrence set may be empty, in which case `f` is returned unchanged.
+    Each path is walked once, and only the nodes on the paths are rebuilt.
     """
-    pset = {tuple(p) for p in paths}
-    if not pset:
+    ordered = sorted({tuple(p) for p in paths})
+    if not ordered:
         return f
-    targets = [subformula_at(f, p) for p in sorted(pset)]
-    if any(t != targets[0] for t in targets):
+    chains = [_walk(f, p) for p in ordered]
+    if any(c[-1] != chains[0][-1] for c in chains):
         raise ValueError("paths address distinct subformulas")
+    if ordered == [()]:
+        return replacement
+    # No path extends another (a formula never equals a proper part of
+    # itself), and in sorted order each path keeps the ancestors it shares
+    # with the one before; the spine holds those, each with its new children.
+    spine: list[tuple[Formula, list[Formula]]] = []
+    prev: Path = ()
 
-    def go(node: Formula, here: Path) -> Formula:
-        if here in pset:
-            return replacement
-        return _rebuild(node, [go(kid, here + (i,)) for i, kid in enumerate(children(node))])
+    def close(depth: int) -> None:
+        while len(spine) > depth:
+            node, kids = spine.pop()
+            spine[-1][1][prev[len(spine) - 1]] = _rebuild(node, kids)
 
-    return go(f, ())
+    for p, chain in zip(ordered, chains):
+        close(next((i for i, (a, b) in enumerate(zip(p, prev)) if a != b), 0) + 1)
+        spine += ((g, list(children(g))) for g in chain[len(spine):-1])
+        spine[-1][1][p[-1]] = replacement
+        prev = p
+    close(1)
+    return _rebuild(*spine[0])
 
 
 def _desugar_step(g: Formula, kids: Sequence[Formula]) -> Formula:
@@ -336,8 +360,11 @@ class _Tok:
     col: int
 
 
+_INFIX: dict[str, tuple[int, type]] = {"&": (3, And), "|": (2, Or), "->": (1, Imp), "=>": (1, Strict),
+                                        "|>": (1, Ssi), "||>": (1, Sssi)}  # symbol -> (binding level, node)
+_PREFIX: dict[str, Callable[[Formula], Formula]] = {"~": neg, "box": Box, "dia": Dia}  # they bind tightest
 _KEYWORDS = {"bot", "top", "box", "dia"}
-_SYMBOLS = ("||>", "|>", "->", "=>", "(", ")", "&", "|", "~")
+_SYMBOLS = sorted(["(", ")", *_INFIX, "~"], key=len, reverse=True)  # "||>" before "|>" before "|"
 
 
 def _tokenize(text: str) -> list[_Tok]:
@@ -374,107 +401,55 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
-_ARROW_KINDS: dict[str, type] = {"->": Imp, "=>": Strict, "|>": Ssi, "||>": Sssi}
-
-
-class _Parser:
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
-
-    def take(self) -> _Tok:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def formula(self) -> Formula:
-        first = self.disj()
-        op = self.peek().kind
-        if op not in _ARROW_KINDS:
-            return first
-        parts = [first]
-        while self.peek().kind == op:
-            self.take()
-            parts.append(self.disj())
-            nxt = self.peek()
-            if nxt.kind in _ARROW_KINDS and nxt.kind != op:
-                raise ParseError(
-                    f"cannot mix {op!r} and {nxt.kind!r} without parentheses",
-                    nxt.line,
-                    nxt.col,
-                )
-        ctor = _ARROW_KINDS[op]
-        result = parts[-1]
-        for part in reversed(parts[:-1]):
-            result = ctor(part, result)
-        return result
-
-    def disj(self) -> Formula:
-        left = self.conj()
-        if self.peek().kind == "|":
-            self.take()
-            return Or(left, self.disj())
-        return left
-
-    def conj(self) -> Formula:
-        left = self.unary()
-        if self.peek().kind == "&":
-            self.take()
-            return And(left, self.conj())
-        return left
-
-    def unary(self) -> Formula:
-        t = self.peek()
-        if t.kind == "~":
-            self.take()
-            return neg(self.unary())
-        if t.kind == "box":
-            self.take()
-            return Box(self.unary())
-        if t.kind == "dia":
-            self.take()
-            return Dia(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        t = self.take()
-        if t.kind == "ident":
-            return Var(t.text)
-        if t.kind == "bot":
-            return Bot()
-        if t.kind == "top":
-            return top()
-        if t.kind == "(":
-            f = self.formula()
-            closing = self.take()
-            if closing.kind != ")":
-                raise ParseError(
-                    f"expected ')', found {closing.text or 'end of input'!r}",
-                    closing.line,
-                    closing.col,
-                )
-            return f
-        raise ParseError(
-            f"expected a formula, found {t.text or 'end of input'!r}", t.line, t.col
-        )
-
-
 def parse(text: str) -> Formula:
-    p = _Parser(_tokenize(text))
-    f = p.formula()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"unexpected {t.text!r}", t.line, t.col)
-    return f
+    """Operator precedence on two explicit stacks (Dijkstra's shunting-yard).
+
+    `pending` holds the prefix and infix operators not yet applied and the
+    open parentheses, each with its binding level (prefix 4, "(" 0);
+    applying an operator replaces its operands on `operands` by the node it
+    builds.
+    """
+    operands: list[Formula] = []
+    pending: list[tuple[int, str]] = []
+    want_operand = True
+    for t in _tokenize(text):
+        k = t.kind
+        if want_operand:
+            if k in _PREFIX or k == "(":
+                pending.append((4 if k in _PREFIX else 0, k))
+                continue
+            if k not in ("ident", "bot", "top"):
+                raise ParseError(f"expected a formula, found {t.text or 'end of input'!r}", t.line, t.col)
+            operands.append(Var(t.text) if k == "ident" else Bot() if k == "bot" else top())
+            want_operand = False
+            continue
+        # an operand is complete: apply what binds tighter than `k`, back to the innermost "("
+        level = _INFIX[k][0] if k in _INFIX else 0
+        while pending and pending[-1][0] > level:
+            _, op = pending.pop()
+            if op in _PREFIX:
+                operands[-1] = _PREFIX[op](operands[-1])
+            else:
+                right = operands.pop()
+                operands[-1] = _INFIX[op][1](operands[-1], right)
+        if k in _INFIX:
+            if pending and pending[-1][0] == level and pending[-1][1] != k:
+                raise ParseError(f"cannot mix {pending[-1][1]!r} and {k!r} without parentheses", t.line, t.col)
+            pending.append((level, k))
+            want_operand = True
+        elif k == ")" and pending:
+            pending.pop()
+        elif pending:
+            raise ParseError(f"expected ')', found {t.text or 'end of input'!r}", t.line, t.col)
+        elif k != "eof":
+            raise ParseError(f"unexpected {t.text!r}", t.line, t.col)
+    return operands.pop()  # the last token is eof
 
 
 # ---------------------------------------------------------------------------
 # printing
 
-_ARROW_TEXT = {Imp: "->", Strict: "=>", Ssi: "|>", Sssi: "||>"}
+_INFIX_TEXT = {node: (symbol, level) for symbol, (level, node) in _INFIX.items()}
 
 
 def pretty(f: Formula) -> str:
@@ -488,7 +463,7 @@ def _operand(kid: tuple[str, int], need: int) -> str:
 
 
 def _pretty_step(g: Formula, kids: Sequence[tuple[str, int]]) -> tuple[str, int]:
-    """The text of `g` and its precedence: atoms 5, prefix 4, & 3, | 2, arrows 1."""
+    """The text of `g` and its level: atoms 5, prefix 4, infix as in `_INFIX`."""
     t = type(g)
     if t is Var:
         return g.name, 5
@@ -498,54 +473,56 @@ def _pretty_step(g: Formula, kids: Sequence[tuple[str, int]]) -> tuple[str, int]
         return ("top", 5) if type(g.left) is Bot else ("~" + _operand(kids[0], 4), 4)
     if t is Box or t is Dia:
         return ("box " if t is Box else "dia ") + _operand(kids[0], 4), 4
+    # operators associate to the right: only a same-operator right operand
+    # continues the chain without parentheses
+    symbol, level = _INFIX_TEXT[t]
     a, b = kids
-    if t is And:
-        return _operand(a, 4) + " & " + _operand(b, 3), 3
-    if t is Or:
-        return _operand(a, 3) + " | " + _operand(b, 2), 2
-    # a same-operator right operand continues the chain, anything else at
-    # arrow level needs parentheses
-    return _operand(a, 2) + " " + _ARROW_TEXT[t] + " " + _operand(b, 1 if type(g.right) is t else 2), 1
+    return f"{_operand(a, level + 1)} {symbol} {_operand(b, level if type(g.right) is t else level + 1)}", level
 
 
 # ---------------------------------------------------------------------------
 # JSON form
 
-_OP_NAME = {
-    Var: "var",
-    Bot: "bot",
-    And: "and",
-    Or: "or",
-    Imp: "imp",
-    Ssi: "ssi",
-    Sssi: "sssi",
-    Box: "box",
-    Dia: "dia",
-    Strict: "strict",
-}
-_NAME_OP = {v: k for k, v in _OP_NAME.items()}
+_NAME_OP = {node.__name__.lower(): node for node in Language.FULL.value}
 
 
 def formula_to_json(f: Formula) -> dict:
-    return fold(f, lambda g, kids: {"op": _OP_NAME[type(g)], "args": [g.name] if type(g) is Var else list(kids)})
+    return fold(f, lambda g, kids: {"op": type(g).__name__.lower(), "args": [g.name] if type(g) is Var else list(kids)})
 
 
 def formula_from_json(data: object) -> Formula:
-    if not isinstance(data, dict) or not isinstance(data.get("op"), str):
-        raise ValueError("formula JSON must be an object with an 'op' string")
-    op = data["op"]
-    args = data.get("args", [])
-    if not isinstance(args, list):
-        raise ValueError("'args' must be a list")
-    ctor = _NAME_OP.get(op)
-    if ctor is None:
-        raise ValueError(f"unknown op {op!r}")
-    if ctor is Var:
-        if len(args) != 1 or not isinstance(args[0], str):
-            raise ValueError("'var' takes one string argument")
-        return Var(args[0])
-    kids = tuple(formula_from_json(a) for a in args)
-    arity = {Bot: 0, Box: 1, Dia: 1}.get(ctor, 2)
-    if len(kids) != arity:
-        raise ValueError(f"{op!r} takes {arity} arguments, got {len(kids)}")
-    return ctor(*kids) if kids else ctor()
+    """The inverse of `formula_to_json`, read from a tree such as `json.load` returns.
+
+    The walk keeps its own stack and reads children left to right before
+    their parent, so a bad child is reported before its parent's arity.
+    """
+    done: list[Formula] = []  # results of the nodes whose parent is still open
+    todo: list[tuple] = [(None, data)]  # (None, a node to read), or (node type, its args) to build
+    while todo:
+        ctor, data = todo.pop()
+        if ctor is not None:
+            k = len(data)
+            arity = {Bot: 0, Box: 1, Dia: 1}.get(ctor, 2)
+            if k != arity:
+                raise ValueError(f"{ctor.__name__.lower()!r} takes {arity} arguments, got {k}")
+            kids = done[len(done) - k:]
+            del done[len(done) - k:]
+            done.append(ctor(*kids))
+            continue
+        if not isinstance(data, dict) or not isinstance(data.get("op"), str):
+            raise ValueError("formula JSON must be an object with an 'op' string")
+        op = data["op"]
+        args = data.get("args", [])
+        if not isinstance(args, list):
+            raise ValueError("'args' must be a list")
+        ctor = _NAME_OP.get(op)
+        if ctor is None:
+            raise ValueError(f"unknown op {op!r}")
+        if ctor is Var:
+            if len(args) != 1 or not isinstance(args[0], str):
+                raise ValueError("'var' takes one string argument")
+            done.append(Var(args[0]))
+            continue
+        todo.append((ctor, args))
+        todo += ((None, a) for a in reversed(args))
+    return done[0]

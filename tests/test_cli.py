@@ -187,12 +187,22 @@ class TestUsageErrors:
 
 
 class TestDeepInput:
-    """Input nested past Python's recursion limit exits 2, never with a traceback."""
+    """Deep input either succeeds or exits 2, never with a traceback."""
 
-    @pytest.mark.parametrize("formula", ["~" * 3000 + "p", "(" * 400 + "p" + ")" * 400],
+    @pytest.mark.parametrize(("formula", "printed"), [("~" * 3000 + "p", "~" * 3000 + "p"),
+                                                      ("(" * 400 + "p" + ")" * 400, "p")],
                              ids=["3000-negations", "400-parentheses"])
-    def test_parse(self, capsys, formula):
-        assert main(["parse", "--formula", formula]) == 2
+    def test_parse(self, capsys, formula, printed):
+        # the parser keeps its own stacks
+        assert main(["parse", "--formula", formula]) == 0
+        assert capsys.readouterr().out == printed + "\n"
+
+    def test_prove_deep_script(self, capsys, tmp_path):
+        # matching the schema compares the two deep copies of `a` with ==, which recurses
+        deep = "~" * 3000 + "p"
+        script = tmp_path / "deep.proof"
+        script.write_text(f"1. box ({deep} -> {deep}) -> (box {deep} -> box {deep}) ; axiom k\n")
+        assert main(["prove", "--system", "lemmon-s2", "--script", str(script)]) == 2
         assert capsys.readouterr().err == "error: input nested too deeply\n"
 
     def test_translate_arrow_chain(self, capsys):
@@ -276,6 +286,13 @@ class TestSuiteJsonPath:
         assert out == ""
         assert err.startswith("error:")
         assert not path.exists()
+
+
+def test_help_lists_subcommands_and_exit_statuses(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert "Subcommands: parse, eval" in out and "2 a usage, parse, or input" in out
+    assert "PRINT_LIMIT" not in out  # developer notes stay in the module docstring
 
 
 class TestSharedParser:

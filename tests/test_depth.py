@@ -1,6 +1,7 @@
 """Formulas far deeper than Python's recursion limit go through every
 bottom-up walk: the translations, substitution, modal depth, the printer,
-the JSON form, the scalar evaluator and `taut` all run on `fold`."""
+the JSON form, the scalar evaluator and `taut` all run on `fold`.  The
+parser, `formula_from_json` and `replace_at` keep their own stacks too."""
 
 import sys
 
@@ -16,10 +17,12 @@ from superstrict.syntax import (
     children,
     desugar,
     fold,
+    formula_from_json,
     formula_to_json,
     modal_depth,
     parse,
     pretty,
+    replace_at,
     substitute_many,
     to_box_language,
     to_strict_language,
@@ -81,6 +84,25 @@ def test_imp_chain():
     assert json_depth(formula_to_json(f)) == DEPTH
     assert extension(LOOP, f) == 1
     assert taut(f)
+
+
+def test_parse():
+    assert pretty(parse("~" * DEPTH + "p")) == "~" * DEPTH + "p"
+    assert parse("(" * DEPTH + "p" + ")" * DEPTH) == P
+    text = pretty(imp_chain())
+    assert pretty(parse(text)) == text
+
+
+@pytest.mark.parametrize("chain", [box_chain, imp_chain])
+def test_json_round_trip(chain):
+    text = pretty(chain())
+    assert pretty(formula_from_json(formula_to_json(chain()))) == text
+
+
+def test_replace_at_the_leaf():
+    leaf = (0,) * DEPTH
+    assert pretty(replace_at(box_chain(), [leaf], Q)) == "box " * DEPTH + "q"
+    assert pretty(replace_at(imp_chain(), [(0,), (1,) * DEPTH], Q)) == " -> ".join(["q"] + ["p"] * (DEPTH - 1) + ["q"])
 
 
 def test_fold_visits_each_node_object_once():

@@ -242,6 +242,14 @@ class TestLemmonChecking:
             check(SystemId.LEMMON_S2, d)
 
 
+@pytest.mark.parametrize(("app", "message"), [(RuleApp("mp", (1,)), "rule 'mp' takes 2 premises, got 1"),
+                                              (RuleApp("nrest", (1, 1)), "rule 'nrest' takes 1 premise, got 2")])
+def test_wrong_premise_count(app, message):
+    d = Derivation((Step(parse("p -> p"), AxiomInstance("pc")), Step(parse("box (p -> p)"), app)))
+    with pytest.raises(DerivationError, match=f"^error at step 2: {message}$"):
+        check(SystemId.LEMMON_S2, d)
+
+
 class TestScriptParsing:
     def test_comments_and_blanks(self):
         d = parse_script("# a comment\n\n1. top ; axiom pc\n\n2. box top ; nrest 1\n")

@@ -118,6 +118,18 @@ class TestParse:
             parse("box")
 
 
+def test_parse_corpus_replay():
+    """Inputs recorded with their results by `golden/make_parse_corpus.py`."""
+    corpus = json.loads((GOLDEN / "parse_corpus.json").read_text(encoding="utf-8"))
+    assert len(corpus) == 2000
+    for entry in corpus:
+        try:
+            got = {"input": entry["input"], "json": formula_to_json(parse(entry["input"]))}
+        except ParseError as exc:
+            got = {"input": entry["input"], "error": str(exc)}
+        assert got == entry
+
+
 class TestPretty:
     def test_plain_arrow(self):
         assert pretty(Ssi(P, Q)) == "p |> q"
