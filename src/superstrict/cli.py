@@ -188,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # the json module's reader, and == or hash on deep formulas while checking proofs
+    except RecursionError:  # the json module's reader
         print("error: input nested too deeply", file=sys.stderr)
         return 2
     raise AssertionError("unhandled command")

@@ -299,28 +299,16 @@ def _check_rule(system: SystemId, spec: _SystemSpec, d: Derivation, k: int, step
             i, j = just.premises
             if And(_premise(d, k, i), _premise(d, k, j)) != step.formula:
                 raise DerivationError(k, "formula is not the conjunction of the two premises")
-        case "sdet":
+        case "mp" | "sdet":
             i, j = just.premises
+            node, kind = (Imp, "") if rule == "mp" else (Strict, "strict ")
             imp = _premise(d, k, i)
-            match imp:
-                case Strict(a, b):
-                    if a != _premise(d, k, j):
-                        raise DerivationError(k, "second premise does not match the strict antecedent")
-                    if b != step.formula:
-                        raise DerivationError(k, "formula does not match the strict consequent")
-                case _:
-                    raise DerivationError(k, "first premise is not a strict implication")
-        case "mp":
-            i, j = just.premises
-            imp = _premise(d, k, i)
-            match imp:
-                case Imp(a, b):
-                    if a != _premise(d, k, j):
-                        raise DerivationError(k, "second premise does not match the antecedent")
-                    if b != step.formula:
-                        raise DerivationError(k, "formula does not match the consequent")
-                case _:
-                    raise DerivationError(k, "first premise is not a material implication")
+            if not isinstance(imp, node):
+                raise DerivationError(k, f"first premise is not a {kind or 'material '}implication")
+            if imp.left != _premise(d, k, j):
+                raise DerivationError(k, f"second premise does not match the {kind}antecedent")
+            if imp.right != step.formula:
+                raise DerivationError(k, f"formula does not match the {kind}consequent")
         case "br":
             (i,) = just.premises
             prem = _premise(d, k, i)

@@ -4,14 +4,10 @@ Worlds are integers 0..n-1.  Successor sets, the set of normal points, and
 variable extensions are all bitmasks (bit w = world w).  A frame whose
 points are all normal behaves exactly like a plain Kripke frame.
 
-Truth at w:
-
-    a |> b   iff  w is normal, some successor satisfies a, and every
-                  successor satisfying a satisfies b
-    a ||> b  iff  a |> b and some successor falsifies b
-    a => b   iff  w is normal and every successor satisfying a satisfies b
-    box a    iff  w is normal and every successor satisfies a
-    dia a    iff  w is not normal, or some successor satisfies a
+`extension` evaluates the boolean connectives on whole masks and reads the
+truth clause of each modal connective at a world from `_CLAUSES`, the one
+statement of those clauses.  It is independent of the search's lowering,
+and re-verifies every witness the search returns.
 
 Truth in a model quantifies over the normal points only, so it is vacuous
 when the frame has no normal point.
@@ -172,8 +168,22 @@ def satisfies_class(frame: Frame, fc: FrameClass) -> bool:
     return relation_satisfies(frame.rel, frame.n, fc)
 
 
+# The truth clause of each modal connective at a world w: `normal` says
+# whether w is normal, `s` is its successor mask, `a` and `b` the extensions
+# of the children (`b` is 0 under box and dia), and `s & ~b` the successors
+# falsifying b.
+_CLAUSES = {
+    Ssi: lambda normal, s, a, b: normal and s & a and not s & a & ~b,
+    Sssi: lambda normal, s, a, b: normal and s & a and not s & a & ~b and s & ~b,
+    Strict: lambda normal, s, a, b: normal and not s & a & ~b,
+    Box: lambda normal, s, a, b: normal and not s & ~a,
+    Dia: lambda normal, s, a, b: not normal or s & a,
+}
+
+
 def extension(model: Model, f: Formula) -> int:
-    """Bitmask of the worlds where `f` is true."""
+    """Bitmask of the worlds where `f` is true: the boolean connectives act
+    on whole masks, the modal ones world by world through `_CLAUSES`."""
     frame = model.frame
     n, rel, normals = frame.n, frame.rel, frame.normals
     full = (1 << n) - 1
@@ -190,49 +200,9 @@ def extension(model: Model, f: Formula) -> int:
                 return kids[0] | kids[1]
             case Imp():
                 return (full ^ kids[0]) | kids[1]
-            case Ssi():
-                ea, eb = kids
-                out = 0
-                for w in range(n):
-                    s = rel[w]
-                    if normals >> w & 1 and s & ea and not s & ea & (full ^ eb):
-                        out |= 1 << w
-                return out
-            case Sssi():
-                ea, eb = kids
-                out = 0
-                for w in range(n):
-                    s = rel[w]
-                    if (
-                        normals >> w & 1
-                        and s & ea
-                        and not s & ea & (full ^ eb)
-                        and s & (full ^ eb)
-                    ):
-                        out |= 1 << w
-                return out
-            case Strict():
-                ea, eb = kids
-                out = 0
-                for w in range(n):
-                    if normals >> w & 1 and not rel[w] & ea & (full ^ eb):
-                        out |= 1 << w
-                return out
-            case Box():
-                ea = kids[0]
-                out = 0
-                for w in range(n):
-                    if normals >> w & 1 and not rel[w] & (full ^ ea):
-                        out |= 1 << w
-                return out
-            case Dia():
-                ea = kids[0]
-                out = 0
-                for w in range(n):
-                    if not normals >> w & 1 or rel[w] & ea:
-                        out |= 1 << w
-                return out
-        raise TypeError(f"not a formula: {g!r}")
+        clause = _CLAUSES[type(g)]  # `fold` has already refused anything that is not a formula
+        a, b = (*kids, 0)[:2]
+        return sum(1 << w for w in range(n) if clause(normals >> w & 1, rel[w], a, b))
 
     return fold(f, ext)
 

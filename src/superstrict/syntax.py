@@ -16,9 +16,12 @@ mutually non-associative: mixing two different arrows needs parentheses.
 `top` and `~` are notation, not AST nodes: the parser expands `top` to
 `bot -> bot` and `~a` to `a -> bot`, and the printer folds both back.
 
-No function here recurses: the parser, `fold` and the other walks keep
-their own stacks, so their depth is bounded by memory.  Structural `==` and
-`hash` on the dataclasses still recurse once per level.
+The three translations are tables of templates in this grammar over the
+children `a` and `b` (`_TO_CORE`, `_TO_BOX`, `_TO_STRICT`), each compiled
+once at import; those tables are the only statement of the definitions.
+
+No function here recurses: the parser, `fold`, structural `==` and the
+other walks keep their own stacks, so their depth is bounded by memory.
 """
 
 from __future__ import annotations
@@ -30,34 +33,55 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 
 class Formula:
-    """Base class for formula nodes.  Instances are immutable and hashable."""
+    """Base class for formula nodes.  Instances are immutable and hashable.
+
+    Equality is structural and, like `hash`, walks its own stack, so it
+    handles formulas of any depth.
+    """
 
     __slots__ = ()
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        mine, theirs = [self], [other]  # the nodes still to compare, pairwise
+        while mine:
+            f, g = mine.pop(), theirs.pop()
+            if f is g:
+                continue
+            if type(f) is not type(g) or (type(f) is Var and f.name != g.name):
+                return False
+            mine += children(f)
+            theirs += children(g)
+        return True
 
-@dataclass(frozen=True, slots=True)
+    def __hash__(self) -> int:
+        return fold(self, lambda g, kids: hash((type(g), g.name) if type(g) is Var else (type(g), *kids)))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Imp(Formula):
     """Material implication."""
 
@@ -65,7 +89,7 @@ class Imp(Formula):
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Ssi(Formula):
     """Super-strict implication `|>`: strictness plus a possible antecedent."""
 
@@ -73,7 +97,7 @@ class Ssi(Formula):
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Sssi(Formula):
     """Strong super-strict implication `||>`: adds a possibly-false consequent."""
 
@@ -81,17 +105,17 @@ class Sssi(Formula):
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Box(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Dia(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Strict(Formula):
     """Strict implication `=>`."""
 
@@ -261,84 +285,40 @@ def replace_at(f: Formula, paths: Iterable[Iterable[int]], replacement: Formula)
     return _rebuild(*spine[0])
 
 
-def _desugar_step(g: Formula, kids: Sequence[Formula]) -> Formula:
-    match g:
-        case Sssi():
-            a, b = kids
-            return And(Ssi(a, b), Ssi(neg(b), top()))
-        case Dia():
-            return Ssi(kids[0], top())
-        case Box():
-            return neg(Ssi(neg(kids[0]), top()))
-        case Strict():
-            a, b = kids
-            return neg(Ssi(And(a, neg(b)), top()))
-    return _rebuild(g, kids)
-
-
 def desugar(f: Formula) -> Formula:
-    """Rewrite into the core language, innermost first.
+    """Rewrite into the core language by the templates of `_TO_CORE`, innermost first.
 
-    ||> unfolds to its defining conjunction, dia a to `a |> top`, box a to
-    `~(~a |> top)`, and => to `~((a & ~b) |> top)`.  Idempotent; the result
-    uses only core connectives, and is `f` itself when `f` already does.
+    Idempotent; the result uses only core connectives, and is `f` itself
+    when `f` already does.
     """
-    return fold(f, _desugar_step)
-
-
-def _box_step(g: Formula, kids: Sequence[Formula]) -> Formula:
-    match g:
-        case Ssi():
-            a, b = kids
-            return And(Dia(a), Box(Imp(a, b)))
-        case Strict():
-            return Box(Imp(*kids))
-        case Sssi():
-            a, b = kids
-            nb = neg(b)
-            return And(And(Dia(a), Box(Imp(a, b))), And(Dia(nb), Box(Imp(nb, top()))))
-    return _rebuild(g, kids)
+    return _translate(f, _TO_CORE)
 
 
 def to_box_language(f: Formula) -> Formula:
-    """Translate arrows away in favour of box and dia.
+    """Translate arrows away in favour of box and dia by the templates of `_TO_BOX`.
 
-    `a |> b` becomes `dia a & box (a -> b)` and `a => b` becomes
-    `box (a -> b)`; `||>` goes through its defining conjunction first.
     Truth-preserving at every point, normal or not, under the primitive
     clauses.
     """
-    return fold(f, _box_step)
-
-
-def _dia_strict(g: Formula) -> Formula:
-    return neg(Strict(top(), neg(g)))
-
-
-def _strict_step(g: Formula, kids: Sequence[Formula]) -> Formula:
-    match g:
-        case Ssi():
-            a, b = kids
-            return And(_dia_strict(a), Strict(a, b))
-        case Sssi():
-            a, b = kids
-            nb = neg(b)
-            return And(And(_dia_strict(a), Strict(a, b)), And(_dia_strict(nb), Strict(nb, top())))
-        case Box():
-            return Strict(top(), kids[0])
-        case Dia():
-            return _dia_strict(kids[0])
-    return _rebuild(g, kids)
+    return _translate(f, _TO_BOX)
 
 
 def to_strict_language(f: Formula) -> Formula:
-    """Translate into the strict-implication language.
+    """Translate into the strict-implication language by the templates of `_TO_STRICT`.
 
-    box a reads as `top => a`, dia a as `~(top => ~a)`, and `a |> b` as
-    possible antecedent plus strictness.  Truth-preserving at every point
-    under the primitive clauses.
+    Truth-preserving at every point under the primitive clauses.
     """
-    return fold(f, _strict_step)
+    return _translate(f, _TO_STRICT)
+
+
+def _translate(f: Formula, table: Mapping[type, Callable[[Sequence[Formula]], Formula]]) -> Formula:
+    """`f` with each node of a type in `table` replaced by its template over
+    the node's translated children, innermost first."""
+    def step(g: Formula, kids: Sequence[Formula]) -> Formula:
+        build = table.get(type(g))
+        return _rebuild(g, kids) if build is None else build(kids)
+
+    return fold(f, step)
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +424,42 @@ def parse(text: str) -> Formula:
         elif k != "eof":
             raise ParseError(f"unexpected {t.text!r}", t.line, t.col)
     return operands.pop()  # the last token is eof
+
+
+# ---------------------------------------------------------------------------
+# translation templates: each connective's definition, once, over its children `a` and `b`
+
+
+def _template(text: str) -> Callable[[Sequence[Formula]], Formula]:
+    """Compile a template into a builder: `a` and `b` take the first and
+    second child objects as they are, every other node is built afresh."""
+    def step(g: Formula, kids: Sequence[Callable]) -> Callable[[Sequence[Formula]], Formula]:
+        if type(g) is Var:
+            return operator.itemgetter("ab".index(g.name))
+        return lambda args: type(g)(*[build(args) for build in kids])
+
+    return fold(parse(text), step)
+
+
+_TO_CORE = {node: _template(text) for node, text in {
+    Sssi: "(a |> b) & (~b |> top)",
+    Dia: "a |> top",
+    Box: "~(~a |> top)",
+    Strict: "~((a & ~b) |> top)",
+}.items()}
+
+_TO_BOX = {node: _template(text) for node, text in {
+    Ssi: "dia a & box (a -> b)",
+    Strict: "box (a -> b)",
+    Sssi: "(dia a & box (a -> b)) & (dia ~b & box (~b -> top))",
+}.items()}
+
+_TO_STRICT = {node: _template(text) for node, text in {
+    Ssi: "~(top => ~a) & (a => b)",
+    Sssi: "(~(top => ~a) & (a => b)) & (~(top => ~~b) & (~b => top))",
+    Box: "top => a",
+    Dia: "~(top => ~a)",
+}.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Formulas far deeper than Python's recursion limit go through every
 bottom-up walk: the translations, substitution, modal depth, the printer,
-the JSON form, the scalar evaluator and `taut` all run on `fold`.  The
-parser, `formula_from_json` and `replace_at` keep their own stacks too."""
+the JSON form, the scalar evaluator, `taut` and `hash` all run on `fold`.
+The parser, `formula_from_json`, `replace_at` and `==` keep their own
+stacks too."""
 
 import sys
 
@@ -103,6 +104,13 @@ def test_replace_at_the_leaf():
     leaf = (0,) * DEPTH
     assert pretty(replace_at(box_chain(), [leaf], Q)) == "box " * DEPTH + "q"
     assert pretty(replace_at(imp_chain(), [(0,), (1,) * DEPTH], Q)) == " -> ".join(["q"] + ["p"] * (DEPTH - 1) + ["q"])
+
+
+@pytest.mark.parametrize("chain", [box_chain, imp_chain])
+def test_equality_and_hash(chain):
+    f, g = chain(), chain()
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert f != replace_at(g, [(1,) * DEPTH if chain is imp_chain else (0,) * DEPTH], Q)
 
 
 def test_fold_visits_each_node_object_once():

@@ -250,6 +250,26 @@ def test_wrong_premise_count(app, message):
         check(SystemId.LEMMON_S2, d)
 
 
+_MP_STEPS = "1. (p -> p) -> (q -> q) ; axiom pc\n2. p -> p ; axiom pc\n3. p | ~p ; axiom pc\n"
+_SDET_STEPS = ("1. p => (p & p) ; axiom 3\n"
+               "2. (p => (p & p)) => ((p => (p & p)) & (p => (p & p))) ; us 1 [p := p => (p & p)]\n"
+               "3. (p => (p & p)) & (p => (p & p)) ; adj 1 1\n")
+
+
+@pytest.mark.parametrize(("system", "script", "message"), [
+    (SystemId.LEMMON_S2, _MP_STEPS + "4. q ; mp 3 2", "first premise is not a material implication"),
+    (SystemId.LEMMON_S2, _MP_STEPS + "4. q ; mp 2 3", "second premise does not match the antecedent"),
+    (SystemId.LEMMON_S2, _MP_STEPS + "4. q ; mp 1 2", "formula does not match the consequent"),
+    (SystemId.LEWIS_S2, _SDET_STEPS + "4. p ; sdet 3 1", "first premise is not a strict implication"),
+    (SystemId.LEWIS_S2, _SDET_STEPS + "4. p ; sdet 1 3", "second premise does not match the strict antecedent"),
+    (SystemId.LEWIS_S2, _SDET_STEPS + "4. p ; sdet 2 1", "formula does not match the strict consequent"),
+], ids=["mp-first", "mp-antecedent", "mp-consequent", "sdet-first", "sdet-antecedent", "sdet-consequent"])
+def test_detachment_errors(system, script, message):
+    with pytest.raises(DerivationError) as exc:
+        check(system, parse_script(script))
+    assert str(exc.value) == f"error at step 4: {message}"
+
+
 class TestScriptParsing:
     def test_comments_and_blanks(self):
         d = parse_script("# a comment\n\n1. top ; axiom pc\n\n2. box top ; nrest 1\n")

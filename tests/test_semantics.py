@@ -120,6 +120,11 @@ class TestTruthClauses:
         model = Model(LOOP, {"q": 1})
         assert not holds(model, 0, parse("bot |> q"))
 
+    @pytest.mark.parametrize("f", [5, "p", And(P, None)], ids=["int", "str", "child"])
+    def test_not_a_formula(self, f):
+        with pytest.raises(TypeError, match="^not a formula: "):
+            extension(Model(LOOP, {}), f)
+
     def test_world_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             holds(Model(LOOP, {}), 1, P)

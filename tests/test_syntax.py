@@ -130,6 +130,34 @@ def test_parse_corpus_replay():
         assert got == entry
 
 
+def test_translate_corpus_replay():
+    """Translations recorded by `golden/make_translate_corpus.py`."""
+    corpus = json.loads((GOLDEN / "translate_corpus.json").read_text(encoding="utf-8"))
+    assert len(corpus) == 800
+    for entry in corpus:
+        f = parse(entry["input"])
+        core = desugar(f)
+        got = {"input": entry["input"], "core": formula_to_json(core), "box": formula_to_json(to_box_language(f)),
+               "strict": formula_to_json(to_strict_language(f))}
+        assert got == entry
+        if in_language(f, Language.CORE):
+            assert core is f
+
+
+class TestEquality:
+    def test_structural(self):
+        assert parse("p |> box q") == Ssi(P, Box(Q))
+        assert hash(parse("p |> box q")) == hash(Ssi(P, Box(Q)))
+        assert Ssi(P, Q) != Sssi(P, Q)
+        assert And(P, Q) != And(P, R)
+        assert Var("a") != Var("b")
+
+    def test_not_a_formula(self):
+        assert P != "p"
+        assert Var.__eq__(P, "p") is NotImplemented
+        assert {P: 1, Bot(): 2}[Var("p")] == 1
+
+
 class TestPretty:
     def test_plain_arrow(self):
         assert pretty(Ssi(P, Q)) == "p |> q"
