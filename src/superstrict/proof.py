@@ -116,10 +116,9 @@ _LEMMON_SCHEMAS: dict[str, Formula] = {
     "t": parse("box a -> a"),
 }
 
-_LEMMON_S3_SCHEMAS: dict[str, Formula] = {
-    "k": parse("box (a -> b) -> box (box a -> box b)"),
-    "t": parse("box a -> a"),
-}
+_LEMMON_S3_SCHEMAS = {**_LEMMON_SCHEMAS, "k": parse("box (a -> b) -> box (box a -> box b)")}
+
+_EQUIVALENCE = parse("(b => c) & (c => b)")  # the second premise of 'sse'
 
 _LEWIS_TYPES = frozenset({Var, Bot, And, Or, Imp, Strict, Box, Dia})
 _LEMMON_TYPES = Language.BOX.value
@@ -269,28 +268,17 @@ def _check_rule(system: SystemId, spec: _SystemSpec, d: Derivation, k: int, step
         case "sse":
             i, j = just.premises
             base = _premise(d, k, i)
-            equiv = _premise(d, k, j)
-            match equiv:
-                case And(Strict(b, c), Strict(c2, b2)) if b == b2 and c == c2:
-                    pass
-                case _:
-                    raise DerivationError(
-                        k, "second premise is not a conjunction of two converse strict implications"
-                    )
+            sides = match_schema(_EQUIVALENCE, _premise(d, k, j))
+            if sides is None:
+                raise DerivationError(k, "second premise is not a conjunction of two converse strict implications")
             if not just.paths:
                 raise DerivationError(k, "substitution of strict equivalents needs occurrence paths")
+            b, c = sides["b"], sides["c"]
             try:
                 occ = subformula_at(base, just.paths[0])
-            except ValueError as exc:
-                raise DerivationError(k, str(exc)) from exc
-            if occ == b:
-                old, new = b, c
-            elif occ == c:
-                old, new = c, b
-            else:
-                raise DerivationError(k, "addressed occurrence matches neither side of the equivalence")
-            try:
-                rewritten = replace_at(base, just.paths, new)
+                if occ != b and occ != c:
+                    raise DerivationError(k, "addressed occurrence matches neither side of the equivalence")
+                rewritten = replace_at(base, just.paths, c if occ == b else b)
             except ValueError as exc:
                 raise DerivationError(k, str(exc)) from exc
             if rewritten != step.formula:

@@ -23,8 +23,9 @@ codes, as (frames x valuations) arrays of world bitmasks of at most
 and walks them in ranges.  A search is a hit predicate on the program's
 results, and the first nonzero entry of a chunk in row-major order is the
 first hit in canonical order.  Frame and Model objects are built for the
-witness only, and every witness is re-verified through the scalar clauses
-in :mod:`superstrict.semantics` before it is returned.
+witness only, and every witness is re-verified before it is returned: its
+frame against the class, its truth values through the scalar clauses in
+:mod:`superstrict.semantics`.
 """
 
 from __future__ import annotations
@@ -266,9 +267,8 @@ def rule_probe_witness(
     wit = _first_hit((conclusion, *premises), fc, max_n, _rule_hit)
     if wit is not None:
         model, world = wit
-        if any(not true_in_model(model, p) for p in premises):
-            raise RuntimeError("rule probe witness failed re-verification")
-        if holds(model, world, conclusion):
+        if (not satisfies_class(model.frame, fc) or any(not true_in_model(model, p) for p in premises)
+                or holds(model, world, conclusion)):
             raise RuntimeError("rule probe witness failed re-verification")
     return wit
 
@@ -292,6 +292,6 @@ def definability_probe(f: Formula, fc: FrameClass, max_n: int) -> tuple[Model, i
     wit = _first_hit((f, g), fc, max_n, lambda normals, a, b: a ^ b, all_points=True)
     if wit is not None:
         model, world = wit
-        if holds(model, world, f) == holds(model, world, g):
+        if not satisfies_class(model.frame, fc) or holds(model, world, f) == holds(model, world, g):
             raise RuntimeError("definability witness failed re-verification")
     return wit

@@ -21,7 +21,8 @@ children `a` and `b` (`_TO_CORE`, `_TO_BOX`, `_TO_STRICT`), each compiled
 once at import; those tables are the only statement of the definitions.
 
 No function here recurses: the parser, `fold`, structural `==` and the
-other walks keep their own stacks, so their depth is bounded by memory.
+other walks keep their own stacks or loops, so their depth is bounded by
+memory.
 """
 
 from __future__ import annotations
@@ -255,34 +256,23 @@ def replace_at(f: Formula, paths: Iterable[Iterable[int]], replacement: Formula)
 
     Every path must address the same formula (syntactic identity); the
     occurrence set may be empty, in which case `f` is returned unchanged.
-    Each path is walked once, and only the nodes on the paths are rebuilt.
+    Every path is checked before any is replaced.
     """
     ordered = sorted({tuple(p) for p in paths})
-    if not ordered:
-        return f
-    chains = [_walk(f, p) for p in ordered]
-    if any(c[-1] != chains[0][-1] for c in chains):
+    targets = [subformula_at(f, p) for p in ordered]
+    if any(t != targets[0] for t in targets):
         raise ValueError("paths address distinct subformulas")
-    if ordered == [()]:
-        return replacement
     # No path extends another (a formula never equals a proper part of
-    # itself), and in sorted order each path keeps the ancestors it shares
-    # with the one before; the spine holds those, each with its new children.
-    spine: list[tuple[Formula, list[Formula]]] = []
-    prev: Path = ()
-
-    def close(depth: int) -> None:
-        while len(spine) > depth:
-            node, kids = spine.pop()
-            spine[-1][1][prev[len(spine) - 1]] = _rebuild(node, kids)
-
-    for p, chain in zip(ordered, chains):
-        close(next((i for i, (a, b) in enumerate(zip(p, prev)) if a != b), 0) + 1)
-        spine += ((g, list(children(g))) for g in chain[len(spine):-1])
-        spine[-1][1][p[-1]] = replacement
-        prev = p
-    close(1)
-    return _rebuild(*spine[0])
+    # itself), so each path still addresses its target once the ones before
+    # it are replaced.
+    for p in ordered:
+        new = replacement
+        for node, step in zip(reversed(_walk(f, p)[:-1]), reversed(p)):
+            kids = list(children(node))
+            kids[step] = new
+            new = _rebuild(node, kids)
+        f = new
+    return f
 
 
 def desugar(f: Formula) -> Formula:

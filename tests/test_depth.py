@@ -1,8 +1,8 @@
 """Formulas far deeper than Python's recursion limit go through every
 bottom-up walk: the translations, substitution, modal depth, the printer,
 the JSON form, the scalar evaluator, `taut` and `hash` all run on `fold`.
-The parser, `formula_from_json`, `replace_at` and `==` keep their own
-stacks too."""
+The parser, `formula_from_json` and `==` keep their own stacks too, and
+`replace_at` walks each path in a loop."""
 
 import sys
 

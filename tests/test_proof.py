@@ -270,6 +270,32 @@ def test_detachment_errors(system, script, message):
     assert str(exc.value) == f"error at step 4: {message}"
 
 
+_SSE_STEPS = ("1. (p & q) => (q & p) ; axiom 1\n"
+              "2. (q & p) => (p & q) ; us 1 [p := q, q := p]\n"
+              "3. ((p & q) => (q & p)) & ((q & p) => (p & q)) ; adj 1 2\n")
+
+
+@pytest.mark.parametrize(("formula", "app", "message"), [
+    ("(q & p) => (q & p)", RuleApp("sse", (1, 1), paths=((0,),)),
+     "second premise is not a conjunction of two converse strict implications"),
+    ("(q & p) => (q & p)", RuleApp("sse", (1, 3), paths=()),
+     "substitution of strict equivalents needs occurrence paths"),
+    ("(q & p) => (q & p)", RuleApp("sse", (1, 3), paths=((0,), (5,))),
+     "invalid path at position 0: node has 2 children"),
+    ("(q & p) => (q & p)", RuleApp("sse", (1, 3), paths=((0, 0),)),
+     "addressed occurrence matches neither side of the equivalence"),
+    ("(q & p) => (p & q)", RuleApp("sse", (1, 3), paths=((0,), (1,))), "paths address distinct subformulas"),
+    ("(p & q) => (q & p)", RuleApp("sse", (1, 3), paths=((0,),)),
+     "formula is not the premise with the addressed occurrences swapped"),
+], ids=["not-equivalence", "no-paths", "invalid-path", "neither-side", "distinct", "not-swapped"])
+def test_sse_errors(formula, app, message):
+    d = parse_script(_SSE_STEPS)
+    d = Derivation((*d.steps, Step(parse(formula), app)))
+    with pytest.raises(DerivationError) as exc:
+        check(SystemId.LEWIS_S2, d)
+    assert str(exc.value) == f"error at step 4: {message}"
+
+
 class TestScriptParsing:
     def test_comments_and_blanks(self):
         d = parse_script("# a comment\n\n1. top ; axiom pc\n\n2. box top ; nrest 1\n")

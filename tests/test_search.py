@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from superstrict import search
 from superstrict.catalog import two_point_frame
 from superstrict.search import (
     CountermodelReport,
@@ -234,3 +235,35 @@ class TestDefinabilityProbe:
         if wit is not None:
             model, world = wit
             assert holds(model, world, f) != holds(model, world, desugar(f))
+
+
+class TestWitnessReverification:
+    """Every search refuses a witness the batched scan got wrong."""
+
+    def test_frame_outside_the_class(self, monkeypatch):
+        # the scan reads the S2_0 table whatever class it was asked for
+        blocks = search._frame_blocks
+        monkeypatch.setattr(search, "_frame_blocks", lambda n, fc, all_points: blocks(n, S2_0, all_points))
+        with pytest.raises(ValueError, match="outside the requested class"):
+            find_countermodel(parse("(p |> q) & p -> q"), S2, 2)
+        with pytest.raises(RuntimeError, match="re-verification"):
+            rule_probe_witness([parse("p |> q"), parse("p")], parse("q"), S2, 2)
+        with pytest.raises(RuntimeError, match="re-verification"):
+            definability_probe(parse("dia p"), NAMED_CLASSES["k"], 2)
+
+    def test_wrong_extension(self, monkeypatch):
+        # the last instruction, the root of the last formula compiled, comes out negated
+        run = search._run
+
+        def corrupt(program, leaves, rows, full):
+            vals = run(program, leaves, rows, full)
+            vals[-1] = full ^ vals[-1]
+            return vals
+
+        monkeypatch.setattr(search, "_run", corrupt)
+        with pytest.raises(ValueError, match="re-verification"):
+            find_countermodel(parse("p -> p"), S2_0, 1)
+        with pytest.raises(RuntimeError, match="re-verification"):
+            rule_probe_witness([parse("~(p -> p)")], parse("p"), S2_0, 1)
+        with pytest.raises(RuntimeError, match="re-verification"):
+            definability_probe(parse("dia p"), NAMED_CLASSES["k"], 1)

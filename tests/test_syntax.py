@@ -268,6 +268,22 @@ class TestReplaceAt:
         with pytest.raises(ValueError):
             replace_at(parse("p & q"), [(0,), (1,)], R)
 
+    def test_replace_corpus_replay(self):
+        """Cases recorded with their results by `golden/make_replace_corpus.py`."""
+        corpus = json.loads((GOLDEN / "replace_corpus.json").read_text(encoding="utf-8"))
+        assert len(corpus) == 1200
+        for entry in corpus:
+            f, paths, text = parse(entry["formula"]), entry["paths"], entry["replacement"]
+            g = subformula_at(f, paths[0]) if text is None else parse(text)
+            got = {"formula": entry["formula"], "paths": paths, "replacement": text}
+            try:
+                result = replace_at(f, paths, g)
+            except ValueError as exc:
+                got["error"] = str(exc)
+            else:
+                got.update(result=formula_to_json(result), same=result is f)
+            assert got == entry
+
 
 class TestDesugar:
     def test_dia(self):
