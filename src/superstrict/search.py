@@ -23,9 +23,11 @@ codes, as (frames x valuations) arrays of world bitmasks of at most
 and walks them in ranges.  A search is a hit predicate on the program's
 results, and the first nonzero entry of a chunk in row-major order is the
 first hit in canonical order.  Frame and Model objects are built for the
-witness only, and every witness is re-verified before it is returned: its
-frame against the class, its truth values through the scalar clauses in
-:mod:`superstrict.semantics`.
+witness only.  Every search runs through `_first_hit`, which re-verifies the
+witness once: its frame against the class, the hit predicate on the scalar
+extensions of :mod:`superstrict.semantics`.  A failure there is an internal
+fault and raises `RuntimeError`; `CountermodelReport` still validates its own
+construction with `ValueError`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .semantics import Frame, FrameClass, Model, holds, satisfies_class, true_in_model
+from .semantics import Frame, FrameClass, Model, extension, holds, satisfies_class
 from .semantics import relation_satisfies  # noqa: F401  callers look it up here
 from .syntax import And, Bot, Box, Dia, Formula, Imp, Or, Ssi, Sssi, Strict, Var, desugar, fold
 
@@ -191,7 +193,8 @@ def _run(program: Program, leaves: Sequence, rows: np.ndarray, full: np.unsigned
 def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Callable[..., np.ndarray],
                all_points: bool = False) -> tuple[Model, int] | None:
     """First model and world, in canonical order, in the world mask that
-    `hit(normals, *extensions of formulas)` returns."""
+    `hit(normals, *extensions of formulas)` returns.  `hit` must also work on
+    ints: the witness is re-verified on the scalar `extension` of each formula."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     program, roots, names = _compile(formulas)
@@ -213,7 +216,11 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
                         frame = Frame(n, tuple(int(r[i, 0]) for r in fr), int(nm[i, 0]))
                         model = Model(frame, {x: int(leaf[0, j]) for x, leaf in zip(names, leaves)})
                         world = int(mask[i, j])
-                        return model, (world & -world).bit_length() - 1
+                        world = (world & -world).bit_length() - 1
+                        if (not satisfies_class(frame, fc)
+                                or not hit(frame.normals, *(extension(model, f) for f in formulas)) >> world & 1):
+                            raise RuntimeError("search witness failed re-verification")
+                        return model, world
     return None
 
 
@@ -229,6 +236,8 @@ class CountermodelReport:
 
     def __post_init__(self) -> None:
         frame = self.model.frame
+        if not 0 <= self.world < frame.n:
+            raise ValueError("countermodel world out of range")
         if self.frame_size != frame.n:
             raise ValueError("frame_size does not match the model")
         if not satisfies_class(frame, self.frame_class):
@@ -264,13 +273,7 @@ def rule_probe_witness(
 ) -> tuple[Model, int] | None:
     """First model where every premise is true but the conclusion fails at a
     normal world, plus that world."""
-    wit = _first_hit((conclusion, *premises), fc, max_n, _rule_hit)
-    if wit is not None:
-        model, world = wit
-        if (not satisfies_class(model.frame, fc) or any(not true_in_model(model, p) for p in premises)
-                or holds(model, world, conclusion)):
-            raise RuntimeError("rule probe witness failed re-verification")
-    return wit
+    return _first_hit((conclusion, *premises), fc, max_n, _rule_hit)
 
 
 def rule_preservation_probe(
@@ -289,9 +292,4 @@ def definability_probe(f: Formula, fc: FrameClass, max_n: int) -> tuple[Model, i
     g = desugar(f)
     if g is f:  # f is already in the core language
         return None
-    wit = _first_hit((f, g), fc, max_n, lambda normals, a, b: a ^ b, all_points=True)
-    if wit is not None:
-        model, world = wit
-        if not satisfies_class(model.frame, fc) or holds(model, world, f) == holds(model, world, g):
-            raise RuntimeError("definability witness failed re-verification")
-    return wit
+    return _first_hit((f, g), fc, max_n, lambda normals, a, b: a ^ b, all_points=True)

@@ -1,18 +1,22 @@
 """End-to-end command line tests, run in process via main(argv)."""
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from superstrict import cli
+from superstrict import cli, search
 from superstrict.cli import PRINT_LIMIT, main
-from superstrict.proof import TAUT_LIMIT
+from superstrict.proof import TAUT_LIMIT, SystemId
+from superstrict.semantics import NAMED_CLASSES, model_to_json
 from superstrict.syntax import desugar, fold, formula_to_json, parse, pretty, to_box_language, to_strict_language
 
-from strategies import formulas
+from strategies import formulas, models
 
 DATA = Path(__file__).parent / "data"
 
@@ -88,6 +92,19 @@ class TestValidCommand:
         assert first.startswith("countermodel at n=")
         model = json.loads(rest)
         assert set(model) == {"worlds", "rel", "normals", "val"}
+
+    def test_internal_fault_is_not_an_input_error(self, monkeypatch):
+        # the root of the formula comes out negated, so the scan reports a false witness
+        run = search._run
+
+        def corrupt(program, leaves, rows, full):
+            vals = run(program, leaves, rows, full)
+            vals[-1] = full ^ vals[-1]
+            return vals
+
+        monkeypatch.setattr(search, "_run", corrupt)
+        with pytest.raises(RuntimeError, match="re-verification"):
+            main(["valid", "--formula", "p -> p", "--class", "s2", "--max-n", "1"])
 
 
 class TestCountermodelCommand:
@@ -332,3 +349,60 @@ class TestSharedParser:
         assert [run(argv, fresh=False) for argv in calls] == alone
         assert Path(report).read_bytes() == written
         assert [code for code, _, _ in alone] == [2, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0]
+
+
+# A fuzz of `cli.main` over random arguments to each command.  Formulas,
+# bounds, worlds and models are well-formed about half the time, so that
+# searches and evaluations run too.
+_TOKENS = ["p", "q", "bot", "top", "~", "box", "dia", "&", "|", "->", "=>", "|>", "||>", "(", ")", "$", ""]
+_FORMULAS = formulas(max_leaves=3).map(pretty) | st.lists(st.sampled_from(_TOKENS), max_size=8).map(" ".join)
+_NUMBERS = st.one_of(st.booleans(), st.floats(-2, 3), st.integers(-1, 3))
+_VALS = st.one_of(st.dictionaries(st.sampled_from(["p", "q"]), st.lists(_NUMBERS, max_size=3), max_size=2),
+                  st.lists(_NUMBERS, max_size=2), st.text(max_size=2), _NUMBERS)
+_MALFORMED = st.fixed_dictionaries({}, optional={
+    "worlds": _NUMBERS,
+    "rel": st.lists(st.lists(_NUMBERS, max_size=3), max_size=3),
+    "normals": st.lists(_NUMBERS, max_size=3),
+    "val": _VALS,
+})
+_WELL_FORMED = models(max_n=2).map(model_to_json)
+_MODELS = _WELL_FORMED | st.one_of(
+    st.builds(lambda m, val: {**m, "val": val}, _WELL_FORMED, _VALS), _MALFORMED, st.lists(_NUMBERS, max_size=2))
+_STEP = st.builds("{}. {} ; {}".format, st.integers(0, 3), _FORMULAS, st.sampled_from(
+    ["axiom pc", "axiom k", "mp 1 2", "nrest 1", "us 1 [p := q]", "sse 1 2 @0", "adj 1 2", "bogus", ""]))
+_CLASSES = st.sampled_from([*sorted(NAMED_CLASSES), "s9", "S2", ""])
+_BOUNDS = st.sampled_from(["1", "2"]) | st.sampled_from(["-1", "0", "a"])
+_WORLDS = st.sampled_from(["0", "1"]) | st.sampled_from(["-1", "5", "a"])
+_SCRIPTS = (st.sampled_from(sorted(DATA.glob("*.proof"))).map(Path.read_text)
+            | st.lists(_STEP, max_size=3).map("\n".join))
+# The arguments of each command; MODEL, SCRIPT and REPORT stand for files.
+_ARGS = {
+    "parse": st.builds(lambda f, js: ["--formula", f, *["--json"] * js], _FORMULAS, st.booleans()),
+    "eval": st.builds(lambda f, w: ["--formula", f, "--model", "MODEL", "--world", w], _FORMULAS, _WORLDS),
+    "valid": st.builds(lambda f, c, n: ["--formula", f, "--class", c, "--max-n", n], _FORMULAS, _CLASSES, _BOUNDS),
+    "countermodel": st.builds(
+        lambda f, c, n, ev: ["--formula", f, "--class", c, "--max-n", n, *["--expect-valid"] * ev],
+        _FORMULAS, _CLASSES, _BOUNDS, st.booleans()),
+    "translate": st.builds(lambda f, to: ["--formula", f, "--to", to], _FORMULAS,
+                           st.sampled_from(["core", "box", "strict", "s2"])),
+    "prove": st.builds(lambda system: ["--system", system, "--script", "SCRIPT"],
+                       st.sampled_from([*(s.value for s in SystemId), "s2"])),
+    "suite": st.builds(lambda n, js: ["--max-n", n, *["--json", "REPORT"] * js], _BOUNDS, st.booleans()),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("command", _ARGS)
+@settings(max_examples=12)
+@given(data=st.data())
+def test_random_calls_exit_0_1_or_2(fuzz_dir, command, data):
+    files = {"MODEL": fuzz_dir / "model.json", "SCRIPT": fuzz_dir / "script.proof", "REPORT": fuzz_dir / "report.json"}
+    files["MODEL"].write_text(json.dumps(data.draw(_MODELS)))
+    files["SCRIPT"].write_text(data.draw(_SCRIPTS))
+    argv = [command, *(str(files.get(a, a)) for a in data.draw(_ARGS[command]))]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)

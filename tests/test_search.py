@@ -130,6 +130,9 @@ class TestFindCountermodel:
             CountermodelReport(f, S3, Model(Frame(2, (2, 1), 3), {}), 0, 2)
         with pytest.raises(ValueError, match="not normal"):
             CountermodelReport(f, S2_0, Model(Frame(1, (1,), 0), {}), 0, 1)
+        for world in (-1, 5):
+            with pytest.raises(ValueError, match="world out of range"):
+                CountermodelReport(f, S2, good.model, world, 1)
 
 
 class TestValidUpTo:
@@ -244,7 +247,7 @@ class TestWitnessReverification:
         # the scan reads the S2_0 table whatever class it was asked for
         blocks = search._frame_blocks
         monkeypatch.setattr(search, "_frame_blocks", lambda n, fc, all_points: blocks(n, S2_0, all_points))
-        with pytest.raises(ValueError, match="outside the requested class"):
+        with pytest.raises(RuntimeError, match="re-verification"):
             find_countermodel(parse("(p |> q) & p -> q"), S2, 2)
         with pytest.raises(RuntimeError, match="re-verification"):
             rule_probe_witness([parse("p |> q"), parse("p")], parse("q"), S2, 2)
@@ -261,7 +264,7 @@ class TestWitnessReverification:
             return vals
 
         monkeypatch.setattr(search, "_run", corrupt)
-        with pytest.raises(ValueError, match="re-verification"):
+        with pytest.raises(RuntimeError, match="re-verification"):
             find_countermodel(parse("p -> p"), S2_0, 1)
         with pytest.raises(RuntimeError, match="re-verification"):
             rule_probe_witness([parse("~(p -> p)")], parse("p"), S2_0, 1)
