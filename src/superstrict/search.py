@@ -17,17 +17,27 @@ shared subformula DAG, built from conjunction, disjunction, material
 implication, "some successor is in" and the set of normal points.  For each
 n the frames of the class form a table in canonical order: the relation
 codes that meet the class conditions, each with its normality masks.  The
-program runs on chunks of that table crossed with a range of valuation
-codes, as (frames x valuations) arrays of world bitmasks of at most
-`_PAIRS` pairs; a frame with more valuations than that forms a chunk alone
-and walks them in ranges.  A search is a hit predicate on the program's
-results, and the first nonzero entry of a chunk in row-major order is the
-first hit in canonical order.  Frame and Model objects are built for the
-witness only.  Every search runs through `_first_hit`, which re-verifies the
-witness once: its frame against the class, the hit predicate on the scalar
-extensions of :mod:`superstrict.semantics`.  A failure there is an internal
-fault and raises `RuntimeError`; `CountermodelReport` still validates its own
-construction with `ValueError`.
+program runs on chunks of that table crossed with a range of `vstep`
+valuation codes, at most `_PAIRS` pairs; a frame with more valuations than
+that forms a chunk alone and walks them in ranges.  The program is
+bit-sliced: a slot's value on a chunk is an array of shape (n, frames,
+words), one bit plane per world.  A frame's valuations are packed
+little-endian into words of `used = min(vstep, 64)` bits (uint8 holds 1, 2,
+4 or 8 of them, uint16, uint32 and uint64 are filled), so bit j of word t of
+plane w is the slot's truth at world w under valuation code lo + t * used +
+j.  A frame's successor relation is a (world, successor, frames, 1) array
+of all-ones or all-zero words, and "some successor is in" ORs it, masked by
+the operand, over the successor axis.  A search is a hit predicate on the
+program's results; the first nonzero word of the hit planes ORed over the
+worlds, in row-major order, and its lowest set bit give the first hit
+valuation in canonical order, and the lowest plane holding that bit its
+world.  Frame and Model objects are built for the witness only.  Every
+search runs through `_first_hit`, which re-verifies the witness once: its
+frame against the class, the hit predicate on the scalar extensions of
+:mod:`superstrict.semantics`.  A failure there is an internal fault and
+raises `RuntimeError`; `CountermodelReport` validates its public
+construction with `ValueError`, and takes a witness `_first_hit` has
+checked without checking it again.
 """
 
 from __future__ import annotations
@@ -107,6 +117,20 @@ def _leaves(n: int, k: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
     return _frozen(*(g[None, :] for g in _groups(np.arange(lo, hi, dtype=np.uint64), n, k)))
 
 
+@lru_cache(maxsize=64)
+def _planes(n: int, k: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """The `_leaves` masks as bit planes, shape (n, 1, words): bit j of word t
+    of plane w is set iff the variable holds at w under code lo + t * used + j,
+    with `used = min(hi - lo, 64)` bits to a word."""
+    used = min(hi - lo, 64)
+    planes = []
+    for leaf in _leaves(n, k, lo, hi):
+        bits = leaf >> np.arange(n, dtype=leaf.dtype)[:, None] & 1
+        packed = np.packbits(bits.reshape(n, -1, used), axis=-1, bitorder="little")
+        planes.append(packed.view(f"<u{packed.shape[-1]}").reshape(n, 1, -1))
+    return _frozen(*planes)
+
+
 def enumerate_frames(n: int, fc: FrameClass) -> Iterator[Frame]:
     """Every frame on exactly n worlds satisfying `fc`, canonical order."""
     if n < 1:
@@ -168,9 +192,9 @@ def _compile(formulas: Sequence[Formula]) -> tuple[Program, list[int], tuple[str
 
 
 def _run(program: Program, leaves: Sequence, rows: np.ndarray, full: np.unsignedinteger) -> list:
-    """Every slot's extension on a chunk.  The leaves are bot, the normal
-    points, a (frames, 1) column like each `rows[w]`, and the variables'
-    extensions, (1, valuations) rows; results broadcast to both."""
+    """Every slot's bit planes on a chunk.  The leaves are bot, the normal
+    points, (n, frames, 1) like the successor words `rows[w, v]`, and the
+    variables' planes, (n, 1, words); results broadcast to (n, frames, words)."""
     vals: list = []
     for op, a, b in program:
         match op:
@@ -183,40 +207,46 @@ def _run(program: Program, leaves: Sequence, rows: np.ndarray, full: np.unsigned
             case "imp":
                 v = (full ^ vals[a]) | vals[b]
             case "ex":
-                v = full ^ full
-                for w, r in enumerate(rows):
-                    v = v | (r & vals[a] != 0) * full.dtype.type(1 << w)
+                v = np.bitwise_or.reduce(rows & vals[a], axis=1)
         vals.append(v)
     return vals
 
 
 def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Callable[..., np.ndarray],
                all_points: bool = False) -> tuple[Model, int] | None:
-    """First model and world, in canonical order, in the world mask that
+    """First model and world, in canonical order, in the bit planes that
     `hit(normals, *extensions of formulas)` returns.  `hit` must also work on
-    ints: the witness is re-verified on the scalar `extension` of each formula."""
+    ints, as world masks: the witness is re-verified on the scalar
+    `extension` of each formula."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     program, roots, names = _compile(formulas)
     for n in range(1, max_n + 1):
-        full = _reversal(n)[-1]
         nvals = 1 << (len(names) * n)
         vstep = min(nvals, _PAIRS)  # a chunk: fstep frames x vstep valuations
-        fstep = _PAIRS // vstep
+        fstep, used = _PAIRS // vstep, min(vstep, 64)
+        words = vstep // used
+        word = np.dtype(f"<u{max(used // 8, 1)}")  # uint8 up to 8 used bits, then filled
+        full = word.type((1 << used) - 1)
         for rows, normals in _frame_blocks(n, fc, all_points):
+            bit = np.arange(n, dtype=rows.dtype)[:, None]
             for f0 in range(0, normals.size, fstep):
-                fr, nm = rows[:, f0:f0 + fstep, None], normals[f0:f0 + fstep, None]
+                fr, nm = rows[:, f0:f0 + fstep], normals[f0:f0 + fstep]
+                succ = np.multiply(fr[:, None] >> bit & 1, full, dtype=word)[..., None]
+                norm = np.multiply(nm >> bit & 1, full, dtype=word)[..., None]
                 for lo in range(0, nvals, vstep):
-                    leaves = _leaves(n, len(names), lo, lo + vstep)
-                    vals = _run(program, (full ^ full, nm, *leaves), fr, full)
-                    mask = hit(nm, *(vals[r] for r in roots))
+                    vals = _run(program, (full ^ full, norm, *_planes(n, len(names), lo, lo + vstep)), succ, full)
+                    mask = hit(norm, *(vals[r] for r in roots))
                     if mask.any():
-                        mask = np.broadcast_to(mask, (nm.size, vstep))
-                        i, j = divmod(int(np.flatnonzero(mask)[0]), vstep)
-                        frame = Frame(n, tuple(int(r[i, 0]) for r in fr), int(nm[i, 0]))
+                        mask = np.broadcast_to(mask, (n, nm.size, words))
+                        pairs = np.bitwise_or.reduce(mask, axis=0)
+                        i, t = divmod(int(np.flatnonzero(pairs)[0]), words)
+                        bits = int(pairs[i, t])
+                        j = t * used + (bits & -bits).bit_length() - 1
+                        world = int(np.flatnonzero(mask[:, i, t] >> j % used & 1)[0])
+                        frame = Frame(n, tuple(int(r) for r in fr[:, i]), int(nm[i]))
+                        leaves = _leaves(n, len(names), lo, lo + vstep)
                         model = Model(frame, {x: int(leaf[0, j]) for x, leaf in zip(names, leaves)})
-                        world = int(mask[i, j])
-                        world = (world & -world).bit_length() - 1
                         if (not satisfies_class(frame, fc)
                                 or not hit(frame.normals, *(extension(model, f) for f in formulas)) >> world & 1):
                             raise RuntimeError("search witness failed re-verification")
@@ -247,12 +277,20 @@ class CountermodelReport:
         if holds(self.model, self.world, self.formula):
             raise ValueError("countermodel failed re-verification")
 
+    @classmethod
+    def _checked(cls, formula: Formula, frame_class: FrameClass, model: Model, world: int) -> CountermodelReport:
+        """The report on a witness `_first_hit` has re-verified, built without checking it again."""
+        report = object.__new__(cls)
+        report.__dict__.update(formula=formula, frame_class=frame_class, model=model, world=world,
+                               frame_size=model.frame.n)
+        return report
+
 
 def find_countermodel(f: Formula, fc: FrameClass, max_n: int) -> CountermodelReport | None:
     """First model (canonical order, sizes 1..max_n) falsifying `f` at a
     normal world, or None."""
     wit = _first_hit((f,), fc, max_n, lambda normals, v: normals & ~v)
-    return None if wit is None else CountermodelReport(f, fc, wit[0], wit[1], wit[0].frame.n)
+    return None if wit is None else CountermodelReport._checked(f, fc, *wit)
 
 
 def valid_up_to(f: Formula, fc: FrameClass, max_n: int) -> bool:
@@ -264,8 +302,14 @@ def _rule_hit(normals: np.ndarray, conclusion: np.ndarray, *premises: np.ndarray
     """Normal worlds failing the conclusion, in models of every premise."""
     out = normals & ~conclusion
     for p in premises:
-        out = out * ((normals & ~p) == 0)
+        out = out & ~_somewhere(normals & ~p)
     return out
+
+
+def _somewhere(x: np.ndarray | int) -> np.ndarray | int:
+    """Where some world is in `x`: the OR of an array's world planes, one bit
+    per (frame, valuation) pair; -1 (all ones) or 0 for an int's world mask."""
+    return np.bitwise_or.reduce(x, axis=0) if isinstance(x, np.ndarray) else -(x != 0)
 
 
 def rule_probe_witness(

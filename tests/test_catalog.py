@@ -1,5 +1,6 @@
 """Catalog integrity and suite report behaviour."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -72,6 +73,11 @@ class TestSuiteReportForms:
         text = run_suite(2).to_json()
         assert text == run_suite(2).to_json()
         assert text == (GOLDEN / "suite_max2.json").read_text()
+
+    def test_json_at_default_bounds_is_pinned(self):
+        # every entry at its own bound, so the n = 3 witnesses are pinned too
+        digest = hashlib.sha256(run_suite().to_json().encode()).hexdigest()
+        assert digest == "b636679e7812209c4f5634a9a2f9da9ab7c1aa53190b0835931af999e97e8ed8"
 
     def test_json_schema(self):
         data = json.loads(run_suite(1).to_json())

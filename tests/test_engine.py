@@ -16,13 +16,16 @@ from hypothesis import given, settings
 from superstrict.catalog import CATALOG
 from superstrict.search import (
     _PAIRS,
+    _compile,
+    _first_hit,
     _leaves,
+    _planes,
     definability_probe,
     enumerate_frames,
     find_countermodel,
     rule_probe_witness,
 )
-from superstrict.semantics import NAMED_CLASSES, S2, S2_0, frame_to_json, model_to_json
+from superstrict.semantics import NAMED_CLASSES, S2, S2_0, S3, frame_to_json, model_to_json
 from superstrict.syntax import Box, desugar, parse, variables
 
 from oracles import eval_json, naive_frames
@@ -149,3 +152,72 @@ def test_valuation_ranges_at_36_bits_decode_without_the_whole_axis():
                 expected = sum(1 << j for j in range(n) if code >> (k * n - 1 - (i * n + j)) & 1)
                 assert int(leaf[0, offset]) == expected
     assert all(int(leaf[0, -1]) == 0b1111 for leaf in last_leaves)
+
+
+# Word shapes the engine picks: n worlds, k variables, so 2^(k*n) valuations
+# per frame packed `used = min(2^(k*n), _PAIRS, 64)` to a word.  The
+# countermodel makes the variables in `true` hold at the last world and every
+# other variable fail at the first, so it sits at bit j of word t.
+WORD_SHAPES = [  # (n, k, true, used, t, j)
+    (1, 0, "", 1, 0, 0),
+    (2, 0, "", 1, 0, 0),
+    (1, 1, "a", 2, 0, 1),
+    (1, 2, "ab", 4, 0, 3),
+    (2, 1, "a", 4, 0, 1),
+    (1, 3, "ac", 8, 0, 5),
+    (1, 4, "ad", 16, 0, 9),
+    (2, 2, "ab", 16, 0, 5),
+    (1, 5, "ae", 32, 0, 17),
+    (1, 6, "af", 64, 0, 33),
+    (1, 8, "abh", 64, 3, 1),
+    (2, 4, "ad", 64, 1, 1),
+    (1, 16, "agp", 64, 8, 1),  # 2^16 valuations: the second of two ranges
+]
+
+
+@pytest.mark.parametrize("n, k, true, used, t, j", WORD_SHAPES, ids=lambda v: str(v))
+def test_every_word_shape_agrees_with_oracle(n, k, true, used, t, j):
+    names = "abcdefghijklmnop"[:k]
+    guard = " & ".join(true) or "top"
+    succ = f"dia ({' | '.join(names) or 'bot'})"
+    # at n = 2 the formula holds on every one-world model: `box box top`
+    # fails only at a normal world with a non-normal successor
+    f = parse(f"{guard} -> {succ}" if n == 1 else f"{guard} -> ({succ} | box box top)")
+    assert_all_searches_agree(f, parse("dia top"), S2_0, n)
+    size, world, mj = countermodel_key(f, S2_0, n)
+    vstep = min(1 << k * n, _PAIRS)
+    code = valuation_code(mj)
+    assert (size, world) == (n, n - 1)
+    assert min(vstep, 64) == used and divmod(code % vstep, used) == (t, j)
+    assert code // vstep == (1 if k * n > 15 else 0)
+    if k:
+        plane = _planes(n, k, code - code % vstep, code - code % vstep + vstep)[0]
+        assert plane.shape == (n, 1, vstep // used) and plane.dtype.itemsize == max(used // 8, 1)
+
+
+def test_the_witness_world_is_the_lowest_plane():
+    # on the full two-world ktb frame both worlds fail under a@1 alone: world 0 comes first
+    f = parse("dia a -> box a")
+    assert_all_searches_agree(f, parse("dia top"), NAMED_CLASSES["ktb"], 2)
+    size, world, mj = countermodel_key(f, NAMED_CLASSES["ktb"], 2)
+    assert (size, world, mj["val"]) == (2, 0, {"a": [1]})
+    assert not eval_json(mj, 0, f) and not eval_json(mj, 1, f)
+
+
+def test_ex_temporaries_stay_small():
+    longest = max(CATALOG, key=lambda e: len(_compile([e.formula])[0]))
+    assert len(_compile([longest.formula])[0]) == 45
+    # 2^16 valuations at n = 4, so a chunk is one frame of 512 uint64 words
+    four_successors = parse("(r & s & bot) | ~(dia (p & q) & dia (p & ~q) & dia (~p & q) & dia (~p & ~q))")
+    searches = [(longest.formula, longest.frame_class, longest.bound), (four_successors, S3, 4)]
+    for f, fc, max_n in searches:  # fill the frame, leaf and plane caches
+        find_countermodel(f, fc, max_n)
+    tracemalloc.start()
+    try:
+        wits = [_first_hit((f,), fc, max_n, lambda normals, v: normals & ~v) for f, fc, max_n in searches]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wits[0] is None and wits[1][0].frame.n == 4
+    # about 0.9 MB: a slot holds at most n * _PAIRS / 8 bytes a chunk, `ex` n times that
+    assert peak < 1_250_000
