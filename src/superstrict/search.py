@@ -15,27 +15,36 @@ Canonical encodings (golden files depend on these):
 Each search compiles its formulas once into one postfix program over their
 shared subformula DAG, built from conjunction, disjunction, material
 implication, "some successor is in" and the set of normal points.  For each
-n the frames of the class form a table in canonical order: the relation
-codes that meet the class conditions, each with its normality masks.  The
-program runs on chunks of that table crossed with a range of `vstep`
-valuation codes, at most `_PAIRS` pairs; a frame with more valuations than
-that forms a chunk alone and walks them in ranges.  The program is
-bit-sliced: a slot's value on a chunk is an array of shape (n, frames,
-words), one bit plane per world.  A frame's valuations are packed
+n the frames of the class form a table of two factors, as in Kripke's
+semantics for non-normal logics, where a frame is a relation plus a set of
+normal worlds: the relation codes that meet the class conditions, and the
+class's normality masks.  Frame (relation i, mask m) comes before every
+frame of a later relation, so canonical order is the row-major order of
+(relations, masks).  The program runs on chunks of `rstep` relations x
+`gstep` consecutive masks x a range of `vstep` valuation codes, at most
+`_PAIRS` pairs: all masks of several relations when they fit, else one
+relation and a group of masks, and a frame with more valuations than
+`_PAIRS` forms a chunk alone and walks them in ranges.  The program is
+bit-sliced: a slot's value on a chunk is an array of shape (n, relations,
+masks, words), one bit plane per world.  A frame's valuations are packed
 little-endian into words of `used = min(vstep, 64)` bits (uint8 holds 1, 2,
 4 or 8 of them, uint16, uint32 and uint64 are filled), so bit j of word t of
 plane w is the slot's truth at world w under valuation code lo + t * used +
-j.  A frame's successor relation is a (world, successor, frames, 1) array
-of all-ones or all-zero words, and "some successor is in" ORs it, masked by
-the operand, over the successor axis.  A search is a hit predicate on the
-program's results; the first nonzero word of the hit planes ORed over the
-worlds, in row-major order, and its lowest set bit give the first hit
-valuation in canonical order, and the lowest plane holding that bit its
-world.  Frame and Model objects are built for the witness only.  Every
-search runs through `_first_hit`, which re-verifies the witness once: its
-frame against the class, the hit predicate on the scalar extensions of
-:mod:`superstrict.semantics`.  A failure there is an internal fault and
-raises `RuntimeError`; `CountermodelReport` validates its public
+j.  The leaves broadcast: the variables' planes are (n, 1, 1, words), the
+normal points (n, 1, masks, 1), and a relation's successors a (world,
+successor, relations, 1, 1) array of all-ones or all-zero words, so a slot
+that never meets the normal points, such as "some successor is in" of a
+propositional operand, is computed once per relation, not once per frame.
+"Some successor is in" ORs the successor words, masked by the operand, over
+the successor axis.  A search is a hit predicate on the program's results;
+the first nonzero word of the hit planes ORed over the worlds, in row-major
+order, decoded as (relation i, mask m, word t), and its lowest set bit give
+the first hit frame and valuation in canonical order, and the lowest plane
+holding that bit its world.  Frame and Model objects are built for the
+witness only.  Every search runs through `_first_hit`, which re-verifies the
+witness once: its frame against the class, the hit predicate on the scalar
+extensions of :mod:`superstrict.semantics`.  A failure there is an internal
+fault and raises `RuntimeError`; `CountermodelReport` validates its public
 construction with `ValueError`, and takes a witness `_first_hit` has
 checked without checking it again.
 """
@@ -79,9 +88,12 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _frame_block(n: int, fc: FrameClass, all_points: bool, lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """Successor rows, shape (n, frames), and normality masks of the frames of
-    `fc` with relation codes in [lo, lo + _CODES), in canonical order; frames
-    with no normal point, where no world can fail, only with `all_points`."""
+    """The frames of `fc` with relation codes in [lo, lo + _CODES), as two
+    factors: the successor rows of the relations that meet the class
+    conditions, shape (n, relations), and the class's normality masks, shape
+    (masks,), both in canonical order.  Each relation pairs with every mask,
+    relation first; the mask with no normal point, where no world can fail,
+    comes only with `all_points`."""
     rows = _groups(np.arange(lo, min(lo + _CODES, 1 << n * n), dtype=np.uint64), n, n)
     ok = np.ones(rows[0].shape, dtype=bool)
     for w, rw in enumerate(rows):
@@ -99,16 +111,20 @@ def _frame_block(n: int, fc: FrameClass, all_points: bool, lo: int) -> tuple[np.
                 ok &= ~edge | (rw & ~rv == 0)
     rev = _reversal(n)
     normals = rev[-1:] if fc.all_normal else rev[0 if all_points else 1:]
-    return _frozen(np.repeat(np.stack(rows)[:, ok], normals.size, axis=1), np.tile(normals, int(ok.sum())))
+    # row by row, so the table is C-ordered: `np.stack(rows)[:, ok]` is not,
+    # and its strides slow every operation in `_run` that broadcasts
+    return _frozen(np.stack([rw[ok] for rw in rows]), normals)
 
 
 _cached_block = lru_cache(maxsize=None)(_frame_block)
 
 
 def _frame_blocks(n: int, fc: FrameClass, all_points: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The frame table of `fc` at n, block by block; kept up to n = 4 (2^20 frames)."""
+    """The frame table of `fc` at n, block by block, leaving out blocks with
+    no relation of the class; kept up to n = 4 (2^16 relations)."""
     block = _cached_block if n <= 4 else _frame_block
-    return (block(n, fc, all_points, lo) for lo in range(0, 1 << n * n, _CODES))
+    blocks = (block(n, fc, all_points, lo) for lo in range(0, 1 << n * n, _CODES))
+    return (b for b in blocks if b[0].size)
 
 
 @lru_cache(maxsize=64)
@@ -136,8 +152,10 @@ def enumerate_frames(n: int, fc: FrameClass) -> Iterator[Frame]:
     if n < 1:
         raise ValueError("frame size must be at least 1")
     for rows, normals in _frame_blocks(n, fc, True):
-        for rel, nm in zip(rows.T.tolist(), normals.tolist()):
-            yield Frame(n, tuple(rel), nm)
+        masks = normals.tolist()
+        for rel in map(tuple, rows.T.tolist()):
+            for nm in masks:
+                yield Frame(n, rel, nm)
 
 
 def _compile(formulas: Sequence[Formula]) -> tuple[Program, list[int], tuple[str, ...]]:
@@ -192,9 +210,12 @@ def _compile(formulas: Sequence[Formula]) -> tuple[Program, list[int], tuple[str
 
 
 def _run(program: Program, leaves: Sequence, rows: np.ndarray, full: np.unsignedinteger) -> list:
-    """Every slot's bit planes on a chunk.  The leaves are bot, the normal
-    points, (n, frames, 1) like the successor words `rows[w, v]`, and the
-    variables' planes, (n, 1, words); results broadcast to (n, frames, words)."""
+    """Every slot's bit planes on a chunk of relations x masks x words.  The
+    leaves are bot, the normal points, (n, 1, masks, 1), and the variables'
+    planes, (n, 1, 1, words); the successor words `rows[w, v]` are
+    (relations, 1, 1).  Results broadcast, so a slot takes the axes of the
+    leaves below it: (n, relations, masks, words) at most, and one value per
+    relation for every slot that never meets the normal points."""
     vals: list = []
     for op, a, b in program:
         match op:
@@ -217,7 +238,12 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     """First model and world, in canonical order, in the bit planes that
     `hit(normals, *extensions of formulas)` returns.  `hit` must also work on
     ints, as world masks: the witness is re-verified on the scalar
-    `extension` of each formula."""
+    `extension` of each formula.
+
+    A chunk crosses `rstep` relations with `gstep` consecutive masks and
+    `vstep` valuations: all masks of `fstep // masks` relations when they
+    fit, else one relation and `fstep` masks at a time, so the bits of the
+    (relations, masks, words) planes lie in canonical order."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     program, roots, names = _compile(formulas)
@@ -230,27 +256,32 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
         full = word.type((1 << used) - 1)
         for rows, normals in _frame_blocks(n, fc, all_points):
             bit = np.arange(n, dtype=rows.dtype)[:, None]
-            for f0 in range(0, normals.size, fstep):
-                fr, nm = rows[:, f0:f0 + fstep], normals[f0:f0 + fstep]
-                succ = np.multiply(fr[:, None] >> bit & 1, full, dtype=word)[..., None]
-                norm = np.multiply(nm >> bit & 1, full, dtype=word)[..., None]
-                for lo in range(0, nvals, vstep):
-                    vals = _run(program, (full ^ full, norm, *_planes(n, len(names), lo, lo + vstep)), succ, full)
-                    mask = hit(norm, *(vals[r] for r in roots))
-                    if mask.any():
-                        mask = np.broadcast_to(mask, (n, nm.size, words))
-                        pairs = np.bitwise_or.reduce(mask, axis=0)
-                        i, t = divmod(int(np.flatnonzero(pairs)[0]), words)
-                        bits = int(pairs[i, t])
-                        j = t * used + (bits & -bits).bit_length() - 1
-                        world = int(np.flatnonzero(mask[:, i, t] >> j % used & 1)[0])
-                        frame = Frame(n, tuple(int(r) for r in fr[:, i]), int(nm[i]))
-                        leaves = _leaves(n, len(names), lo, lo + vstep)
-                        model = Model(frame, {x: int(leaf[0, j]) for x, leaf in zip(names, leaves)})
-                        if (not satisfies_class(frame, fc)
-                                or not hit(frame.normals, *(extension(model, f) for f in formulas)) >> world & 1):
-                            raise RuntimeError("search witness failed re-verification")
-                        return model, world
+            gstep = min(fstep, normals.size)
+            rstep = fstep // gstep
+            norms = np.multiply(normals >> bit & 1, full, dtype=word)[:, None, :, None]
+            for r0 in range(0, rows.shape[1], rstep):
+                fr = rows[:, r0:r0 + rstep]
+                succ = np.multiply(fr[:, None] >> bit & 1, full, dtype=word)[..., None, None]
+                for g0 in range(0, normals.size, gstep):
+                    norm = norms[:, :, g0:g0 + gstep]
+                    for lo in range(0, nvals, vstep):
+                        planes = (p[:, None] for p in _planes(n, len(names), lo, lo + vstep))
+                        vals = _run(program, (full ^ full, norm, *planes), succ, full)
+                        mask = hit(norm, *(vals[r] for r in roots))
+                        if mask.any():
+                            mask = np.broadcast_to(mask, (n, fr.shape[1], norm.shape[2], words))
+                            pairs = np.bitwise_or.reduce(mask, axis=0)
+                            i, m, t = map(int, np.unravel_index(np.flatnonzero(pairs)[0], pairs.shape))
+                            bits = int(pairs[i, m, t])
+                            j = t * used + (bits & -bits).bit_length() - 1
+                            world = int(np.flatnonzero(mask[:, i, m, t] >> j % used & 1)[0])
+                            frame = Frame(n, tuple(int(r) for r in fr[:, i]), int(normals[g0 + m]))
+                            leaves = _leaves(n, len(names), lo, lo + vstep)
+                            model = Model(frame, {x: int(leaf[0, j]) for x, leaf in zip(names, leaves)})
+                            if (not satisfies_class(frame, fc)
+                                    or not hit(frame.normals, *(extension(model, f) for f in formulas)) >> world & 1):
+                                raise RuntimeError("search witness failed re-verification")
+                            return model, world
     return None
 
 

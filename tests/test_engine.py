@@ -18,6 +18,7 @@ from superstrict.search import (
     _PAIRS,
     _compile,
     _first_hit,
+    _frame_blocks,
     _leaves,
     _planes,
     definability_probe,
@@ -25,17 +26,18 @@ from superstrict.search import (
     find_countermodel,
     rule_probe_witness,
 )
-from superstrict.semantics import NAMED_CLASSES, S2, S2_0, S3, frame_to_json, model_to_json
+from superstrict.semantics import NAMED_CLASSES, S2, S2_0, S3, FrameClass, frame_to_json, model_to_json
 from superstrict.syntax import Box, desugar, parse, variables
 
 from oracles import eval_json, naive_frames
 from strategies import formulas
 
-def oracle_first(fs, fc, max_n, hit):
-    """First (n, world, model JSON) in canonical order where `hit(mj, w)`."""
+def oracle_first(fs, fc, max_n, hit, min_n=1):
+    """First (n, world, model JSON) in canonical order where `hit(mj, w)`,
+    over sizes min_n..max_n."""
     names = sorted(set().union(*map(variables, fs)))
     k = len(names)
-    for n in range(1, max_n + 1):
+    for n in range(min_n, max_n + 1):
         for edges, normals in naive_frames(n, **asdict(fc)):
             rel = [sorted(j for (i, j) in edges if i == w) for w in range(n)]
             for code in range(1 << (k * n)):
@@ -48,11 +50,11 @@ def oracle_first(fs, fc, max_n, hit):
     return None
 
 
-def oracle_countermodel(f, fc, max_n):
-    return oracle_first([f], fc, max_n, lambda mj, w: w in mj["normals"] and not eval_json(mj, w, f))
+def oracle_countermodel(f, fc, max_n, min_n=1):
+    return oracle_first([f], fc, max_n, lambda mj, w: w in mj["normals"] and not eval_json(mj, w, f), min_n)
 
 
-def oracle_rule(premises, conclusion, fc, max_n):
+def oracle_rule(premises, conclusion, fc, max_n, min_n=1):
     def hit(mj, w):
         return (
             w in mj["normals"]
@@ -60,12 +62,12 @@ def oracle_rule(premises, conclusion, fc, max_n):
             and all(eval_json(mj, v, p) for v in mj["normals"] for p in premises)
         )
 
-    return oracle_first([*premises, conclusion], fc, max_n, hit)
+    return oracle_first([*premises, conclusion], fc, max_n, hit, min_n)
 
 
-def oracle_definability(f, fc, max_n):
+def oracle_definability(f, fc, max_n, min_n=1):
     g = desugar(f)
-    return oracle_first([f, g], fc, max_n, lambda mj, w: eval_json(mj, w, f) != eval_json(mj, w, g))
+    return oracle_first([f, g], fc, max_n, lambda mj, w: eval_json(mj, w, f) != eval_json(mj, w, g), min_n)
 
 
 def countermodel_key(f, fc, max_n):
@@ -110,7 +112,8 @@ def valuation_code(mj):
 
 
 def test_witness_beyond_the_first_chunk():
-    # 4 variables at n = 3: 4,096 valuations per frame, so a chunk holds 8 frames.
+    # 4 variables at n = 3: 4,096 valuations per frame, so a chunk holds
+    # one relation with its 7 normality masks.
     key = countermodel_key(THREE_SUCCESSORS, S2_0, 3)
     assert key == THREE_SUCCESSORS_WITNESS
     assert probe_key(rule_probe_witness([parse("dia s -> s")], THREE_SUCCESSORS, S2_0, 3)) == key
@@ -221,3 +224,92 @@ def test_ex_temporaries_stay_small():
     assert wits[0] is None and wits[1][0].frame.n == 4
     # about 0.9 MB: a slot holds at most n * _PAIRS / 8 bytes a chunk, `ex` n times that
     assert peak < 1_250_000
+
+
+# Chunk geometries.  The frame table is relations x normality masks, and a
+# chunk crosses `rstep` relations with `gstep` consecutive masks: every mask
+# of several relations when they fit in `_PAIRS // vstep` frames, else one
+# relation and a group of masks, and one frame alone when its valuations
+# are walked in ranges.  The first witness is the first (relation, mask,
+# valuation) in that row-major order.
+STAR = FrameClass(serial=True, symmetric=True)  # the first relation at n = 4: 0, 1 and 2 see 3, 3 sees them
+
+
+def chunk_geometry(n, k, fc, all_points=False):
+    """(relations, masks) a chunk holds at n worlds with k variables, and the class's masks."""
+    masks = next(_frame_blocks(n, fc, all_points))[1].size
+    fstep = _PAIRS // min(1 << k * n, _PAIRS)
+    gstep = min(fstep, masks)
+    return fstep // gstep, gstep, masks
+
+
+def test_several_relations_by_all_masks():
+    assert chunk_geometry(2, 0, S2_0) == (10922, 3, 3)
+    assert chunk_geometry(2, 0, S2_0, all_points=True) == (8192, 4, 4)
+    # relation 2 (1 sees 0) fails `box dia top` only when both worlds are
+    # normal, the last mask; relation 3 (1 sees 0 and itself), next in the
+    # same chunk, fails the disjunction at world 1 under the first mask
+    f = parse("box dia top & (box box top | box ~box top)")
+    key = countermodel_key(f, S2_0, 2)
+    assert key == oracle_countermodel(f, S2_0, 2)
+    assert key == (2, 1, {"worlds": 2, "rel": [[], [0]], "normals": [0, 1], "val": {}})
+    assert not eval_json({"worlds": 2, "rel": [[], [0, 1]], "normals": [1], "val": {}}, 1, f)
+    premises = [parse("box top")]  # true at every normal world
+    assert probe_key(rule_probe_witness(premises, f, S2_0, 2)) == oracle_rule(premises, f, S2_0, 2) == key
+    # a normal world with a non-normal successor: relation 2 under mask 1 of 0..3
+    g = parse("~dia top |> top")
+    wit = probe_key(definability_probe(g, S2_0, 2))
+    assert wit == oracle_definability(g, S2_0, 2)
+    assert wit == (2, 1, {"worlds": 2, "rel": [[], [0]], "normals": [1], "val": {}})
+    # mask 0, no normal point, where a top-level `dia` differs from its rewriting
+    h = parse("p & dia top")
+    assert probe_key(definability_probe(h, S2_0, 2)) == oracle_definability(h, S2_0, 2)
+    assert oracle_definability(h, S2_0, 2)[2]["normals"] == []
+
+
+def test_one_relation_split_into_mask_groups():
+    assert chunk_geometry(4, 3, STAR) == (1, 8, 15)
+    assert chunk_geometry(4, 3, STAR, all_points=True) == (1, 8, 16)
+    # three normal successors with distinct valuations, none of them the
+    # world itself: the star with all four worlds normal, the last mask, in
+    # the second group
+    f = parse("~(r & p & q & dia (~r & p & q & box top) & dia (~r & p & ~q & box top) & dia (~r & ~p & box top))")
+    assert find_countermodel(f, STAR, 3) is None
+    key = countermodel_key(f, STAR, 4)
+    assert key == oracle_countermodel(f, STAR, 4, min_n=4)
+    assert key[:2] == (4, 3) and key[2]["rel"] == [[3], [3], [3], [0, 1, 2]] and key[2]["normals"] == [0, 1, 2, 3]
+    # the same successors, normal or not: the first mask of the first group
+    conclusion = parse("~(r & dia (~r & p & q) & dia (~r & p & ~q) & dia (~r & ~p))")
+    premises = [parse("p -> p")]
+    assert rule_probe_witness(premises, conclusion, STAR, 3) is None
+    wit = probe_key(rule_probe_witness(premises, conclusion, STAR, 4))
+    assert wit == oracle_rule(premises, conclusion, STAR, 4, min_n=4)
+    assert wit[2]["normals"] == [3]
+    # a normal world whose successors include a non-normal one: masks 0..15 in two groups of 8
+    g = parse("r & ((~r & p & q & ~dia top) |> top) & ((~r & p & ~q) |> top) & ((~r & ~p) |> top)")
+    assert definability_probe(g, STAR, 3) is None
+    wit = probe_key(definability_probe(g, STAR, 4))
+    assert wit == oracle_definability(g, STAR, 4, min_n=4)
+    assert wit[2]["normals"] == [3]
+
+
+def test_one_frame_with_valuation_ranges():
+    # 8 variables at n = 2: 2^16 valuations of each of the 3 masks, walked in
+    # two ranges; the first relation is 0 <-> 1
+    assert chunk_geometry(2, 8, STAR) == (1, 1, 3)
+    f = parse("(dia a & ~box box top) -> (b & c & d & e & f & g & h & bot)")
+    key = countermodel_key(f, STAR, 2)
+    assert key == oracle_countermodel(f, STAR, 2)
+    assert key == (2, 1, {"worlds": 2, "rel": [[1], [0]], "normals": [1], "val": {"a": [0], **{x: [] for x in "bcdefgh"}}})
+    assert valuation_code(key[2]) == _PAIRS  # the first code of the second range
+    premises = [parse("h -> h")]
+    assert probe_key(rule_probe_witness(premises, f, STAR, 2)) == oracle_rule(premises, f, STAR, 2) == key
+    assert probe_key(definability_probe(f, STAR, 2)) == oracle_definability(f, STAR, 2)
+
+
+def test_frame_table_does_not_repeat_relations():
+    blocks = list(_frame_blocks(4, S2_0, False))
+    assert sum(rows.shape[1] for rows, _ in blocks) == 1 << 16
+    assert all(sorted(normals.tolist()) == list(range(1, 16)) for _, normals in blocks)  # every nonempty set
+    # 4,915,200 bytes when each relation was repeated once per mask
+    assert sum(rows.nbytes + normals.nbytes for rows, normals in blocks) < 300_000
