@@ -47,12 +47,35 @@ extensions of :mod:`superstrict.semantics`.  A failure there is an internal
 fault and raises `RuntimeError`; `CountermodelReport` validates its public
 construction with `ValueError`, and takes a witness `_first_hit` has
 checked without checking it again.
+
+The scan reads one valuation per propositional type.  A formula's truth
+depends on the valuation only through its maximal propositional
+subformulas, the argument behind uniform substitution: the roots and the
+operands of "some successor is in" and of connectives with a modal operand
+that are built from bot and variables by conjunction, disjunction and
+implication alone.  Two valuations that give every world the same row of
+truth values for them agree on every slot, at every world, in every frame,
+and so on every hit.  `_representatives` evaluates those slots once per
+search on the 2^k assignments of one world and keeps the smallest
+assignment giving each row; the valuations that give every world such a
+representative have their canonical codes in `_table`, ascending and padded
+with copies of the last to whole words, and `_first_hit` reads entries
+lo..lo+vstep-1 of that table where the plain scan reads codes
+lo..lo+vstep-1, so bit j decodes to entry lo + j.  The witness is the same:
+the valuations with one row per world form a product over the worlds, and
+canonical order is variable-major, so the smallest code among them takes at
+each world the smallest assignment with its row, a representative.  The
+first hit in canonical order is therefore a representative, and the scan
+of representatives in ascending order meets it first; a padded copy hits
+only if the last code, which comes before it, does.  The table is read
+where a frame has more than 64 valuations, at most `_PAIRS` codes, and only
+when it is shorter than the 2^(k*n) codes it replaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -128,19 +151,44 @@ def _frame_blocks(n: int, fc: FrameClass, all_points: bool) -> Iterator[tuple[np
 
 
 @lru_cache(maxsize=64)
-def _leaves(n: int, k: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-    """Extension masks, shape (1, hi - lo), of k variables under valuation codes lo..hi-1."""
-    return _frozen(*(g[None, :] for g in _groups(np.arange(lo, hi, dtype=np.uint64), n, k)))
+def _table(n: int, k: int, reps: tuple[int, ...]) -> np.ndarray | None:
+    """The canonical codes of the valuations on n worlds that give every
+    world one of the k-bit assignments `reps`, ascending, padded with copies
+    of the last code to a power of two up to 64, else to whole 64-bit words;
+    None when there are more than `_PAIRS` of them or the padded table is no
+    shorter than the 2^(k*n) codes it replaces."""
+    if len(reps) ** n > _PAIRS:
+        return None
+    # assignment a at world w sets bit k*n - 1 - (i*n + w) for each bit k - 1 - i of a
+    top = np.array([sum(1 << k * n - 1 - i * n for i in range(k) if a >> k - 1 - i & 1) for a in reps],
+                   dtype=np.uint64)
+    codes = np.zeros(1, dtype=np.uint64)
+    for w in range(n):
+        codes = (codes[:, None] | top >> np.uint64(w)).ravel()
+    codes.sort()
+    size = 1 << (codes.size - 1).bit_length() if codes.size <= 64 else -(-codes.size // 64) * 64
+    if size >= 1 << k * n:
+        return None
+    return _frozen(np.concatenate([codes, np.full(size - codes.size, codes[-1])]))[0]
 
 
 @lru_cache(maxsize=64)
-def _planes(n: int, k: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+def _leaves(n: int, k: int, lo: int, hi: int, reps: tuple[int, ...] | None = None) -> tuple[np.ndarray, ...]:
+    """Extension masks, shape (1, hi - lo), of k variables under valuation
+    codes lo..hi-1, or under entries lo..hi-1 of the code table of `reps`."""
+    codes = np.arange(lo, hi, dtype=np.uint64) if reps is None else _table(n, k, reps)[lo:hi]
+    return _frozen(*(g[None, :] for g in _groups(codes, n, k)))
+
+
+@lru_cache(maxsize=64)
+def _planes(n: int, k: int, lo: int, hi: int, reps: tuple[int, ...] | None = None) -> tuple[np.ndarray, ...]:
     """The `_leaves` masks as bit planes, shape (n, 1, words): bit j of word t
-    of plane w is set iff the variable holds at w under code lo + t * used + j,
-    with `used = min(hi - lo, 64)` bits to a word."""
+    of plane w is set iff the variable holds at w under code lo + t * used + j
+    (table entry lo + t * used + j with `reps`), with `used = min(hi - lo, 64)`
+    bits to a word."""
     used = min(hi - lo, 64)
     planes = []
-    for leaf in _leaves(n, k, lo, hi):
+    for leaf in _leaves(n, k, lo, hi, reps):
         bits = leaf >> np.arange(n, dtype=leaf.dtype)[:, None] & 1
         packed = np.packbits(bits.reshape(n, -1, used), axis=-1, bitorder="little")
         planes.append(packed.view(f"<u{packed.shape[-1]}").reshape(n, 1, -1))
@@ -209,6 +257,49 @@ def _compile(formulas: Sequence[Formula]) -> tuple[Program, list[int], tuple[str
     return program, roots, names
 
 
+def _representatives(program: Program, roots: Sequence[int], k: int) -> tuple[int, ...] | None:
+    """The smallest k-bit assignment, the first variable as the high bit, of
+    each class of assignments that give the maximal propositional slots of
+    `program` the same row of truth values, ascending; None when 2^k exceeds
+    `_PAIRS` or no two assignments share a row.
+
+    A slot is propositional when it is bot, a variable, or a conjunction,
+    disjunction or implication of propositional slots; it is maximal when it
+    is a root or an operand of an instruction that is not propositional."""
+    if 1 << k > _PAIRS:
+        return None
+    full = (1 << (1 << k)) - 1  # bit a of a slot's int: its truth under assignment a
+    exts: list[int | None] = []
+    maximal = set(roots)
+    for op, a, b in program:
+        match op:
+            case "leaf" if a >= 2:  # variable a - 2, bit k + 1 - a of an assignment
+                s = 1 << k + 1 - a  # false under s assignments, then true under s, and so on
+                v = ((1 << s) - 1 << s) * (full // ((1 << 2 * s) - 1))
+            case "leaf":  # bot, or the normal points, which are not propositional
+                v = 0 if a == 0 else None
+            case "ex":
+                v = None
+                maximal.add(a)
+            case _:
+                x, y = exts[a], exts[b]
+                if x is None or y is None:
+                    v = None
+                    maximal.update((a, b))
+                else:
+                    v = x & y if op == "and" else x | y if op == "or" else (full ^ x) | y
+        exts.append(v)
+    atoms = {exts[s] for s in maximal} - {None}
+    if atoms >= {exts[s] for s, (op, a, _) in enumerate(program) if op == "leaf" and a >= 2}:
+        return None  # every variable an atom: each assignment its own class
+    classes = [full]
+    for x in atoms:
+        classes = [c for part in classes for c in (part & x, part & ~x) if c]
+    if len(classes) == 1 << k:
+        return None
+    return tuple(sorted((c & -c).bit_length() - 1 for c in classes))
+
+
 def _run(program: Program, leaves: Sequence, rows: np.ndarray, full: np.unsignedinteger) -> list:
     """Every slot's bit planes on a chunk of relations x masks x words.  The
     leaves are bot, the normal points, (n, 1, masks, 1), and the variables'
@@ -225,8 +316,8 @@ def _run(program: Program, leaves: Sequence, rows: np.ndarray, full: np.unsigned
                 v = vals[a] & vals[b]
             case "or":
                 v = vals[a] | vals[b]
-            case "imp":
-                v = (full ^ vals[a]) | vals[b]
+            case "imp":  # b is bot in every negation the lowering emits
+                v = full ^ vals[a] if b == 0 else (full ^ vals[a]) | vals[b]
             case "ex":
                 v = np.bitwise_or.reduce(rows & vals[a], axis=1)
         vals.append(v)
@@ -243,12 +334,25 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     A chunk crosses `rstep` relations with `gstep` consecutive masks and
     `vstep` valuations: all masks of `fstep // masks` relations when they
     fit, else one relation and `fstep` masks at a time, so the bits of the
-    (relations, masks, words) planes lie in canonical order."""
+    (relations, masks, words) planes lie in canonical order.  The valuations
+    are the codes 0..2^(k*n)-1 or, where the formulas' propositional types
+    merge them, the code table of the smallest valuation of each class:
+    the same loop, hit and decode on a shorter, still ascending, list of
+    codes, whose first hit is the canonical one (see the module docstring).
+    The types are computed once, at the first n with more than 64
+    valuations a frame."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     program, roots, names = _compile(formulas)
+    k = len(names)
+    types = cache(lambda: _representatives(program, roots, k))
     for n in range(1, max_n + 1):
-        nvals = 1 << (len(names) * n)
+        # up to 64 valuations a frame fill one word, and a shorter table saves no word operation
+        reps = types() if k * n > 6 else None
+        table = None if reps is None else _table(n, k, reps)
+        if table is None:
+            reps = None  # the plain scan of every code
+        nvals = 1 << (k * n) if table is None else table.size
         vstep = min(nvals, _PAIRS)  # a chunk: fstep frames x vstep valuations
         fstep, used = _PAIRS // vstep, min(vstep, 64)
         words = vstep // used
@@ -265,7 +369,7 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
                 for g0 in range(0, normals.size, gstep):
                     norm = norms[:, :, g0:g0 + gstep]
                     for lo in range(0, nvals, vstep):
-                        planes = (p[:, None] for p in _planes(n, len(names), lo, lo + vstep))
+                        planes = (p[:, None] for p in _planes(n, k, lo, lo + vstep, reps))
                         vals = _run(program, (full ^ full, norm, *planes), succ, full)
                         mask = hit(norm, *(vals[r] for r in roots))
                         if mask.any():
@@ -276,7 +380,7 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
                             j = t * used + (bits & -bits).bit_length() - 1
                             world = int(np.flatnonzero(mask[:, i, m, t] >> j % used & 1)[0])
                             frame = Frame(n, tuple(int(r) for r in fr[:, i]), int(normals[g0 + m]))
-                            leaves = _leaves(n, len(names), lo, lo + vstep)
+                            leaves = _leaves(n, k, lo, lo + vstep, reps)
                             model = Model(frame, {x: int(leaf[0, j]) for x, leaf in zip(names, leaves)})
                             if (not satisfies_class(frame, fc)
                                     or not hit(frame.normals, *(extension(model, f) for f in formulas)) >> world & 1):

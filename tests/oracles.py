@@ -8,51 +8,68 @@ package, so that agreement between the two routes is meaningful.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Callable, Iterator
 
 from superstrict.syntax import And, Bot, Box, Dia, Formula, Imp, Or, Ssi, Sssi, Strict, Var
 
 
 def eval_json(mj: dict, w: int, f: Formula) -> bool:
     """Truth at a world, full non-normal clauses, coded over sets."""
-    n = mj["worlds"]
-    edges = {(i, j) for i, row in enumerate(mj["rel"]) for j in row}
-    normals = set(mj["normals"])
-    val = {name: set(ws) for name, ws in mj["val"].items()}
+    truth = {name: [{0} if v in ws else set() for v in range(mj["worlds"])] for name, ws in mj["val"].items()}
+    return 0 in extensions(mj, truth, 1)(f)[w]
 
-    def ev(w: int, g: Formula) -> bool:
-        succ = [v for v in range(n) if (w, v) in edges]
+
+def extensions(mj: dict, truth: dict[str, list[set[int]]], count: int) -> Callable[[Formula], list[set[int]]]:
+    """On the frame of model JSON `mj`, a formula's truth under `count`
+    valuations at once: for each world, the set of valuations (0..count-1)
+    under which it holds there.  `truth[x]` gives variable x so, and a
+    variable missing from it is false.  The frame's sets are built once, and
+    each subformula is evaluated once."""
+    n = mj["worlds"]
+    every = set(range(count))
+    normal = [every if w in mj["normals"] else set() for w in range(n)]
+    succ = [sorted(set(row)) for row in mj["rel"]]
+    memo: dict[int, tuple[Formula, list[set[int]]]] = {}  # keeps g, so its id stays unique
+
+    def some(x: list[set[int]]) -> list[set[int]]:
+        """Where some successor is in x."""
+        return [set().union(*(x[v] for v in succ[w])) for w in range(n)]
+
+    def ext(g: Formula) -> list[set[int]]:
+        if id(g) not in memo:
+            memo[id(g)] = g, clause(g)
+        return memo[id(g)][1]
+
+    def clause(g: Formula) -> list[set[int]]:
         match g:
             case Var(name):
-                return w in val.get(name, set())
+                return truth.get(name) or [set() for _ in range(n)]
             case Bot():
-                return False
+                return [set() for _ in range(n)]
             case And(a, b):
-                return ev(w, a) and ev(w, b)
+                return [x & y for x, y in zip(ext(a), ext(b))]
             case Or(a, b):
-                return ev(w, a) or ev(w, b)
+                return [x | y for x, y in zip(ext(a), ext(b))]
             case Imp(a, b):
-                return (not ev(w, a)) or ev(w, b)
-            case Ssi(a, b):
-                sat = [v for v in succ if ev(v, a)]
-                return w in normals and bool(sat) and all(ev(v, b) for v in sat)
-            case Sssi(a, b):
-                sat = [v for v in succ if ev(v, a)]
-                return (
-                    w in normals
-                    and bool(sat)
-                    and all(ev(v, b) for v in sat)
-                    and any(not ev(v, b) for v in succ)
-                )
+                return [(every - x) | y for x, y in zip(ext(a), ext(b))]
+            case Ssi(a, b):  # some successor in a, none in a and not b
+                sat, bad = some(ext(a)), some([x - y for x, y in zip(ext(a), ext(b))])
+                return [(nw & s) - t for nw, s, t in zip(normal, sat, bad)]
+            case Sssi(a, b):  # and some successor not in b
+                sat, bad = some(ext(a)), some([x - y for x, y in zip(ext(a), ext(b))])
+                out = some([every - y for y in ext(b)])
+                return [(nw & s & o) - t for nw, s, o, t in zip(normal, sat, out, bad)]
             case Strict(a, b):
-                return w in normals and all(ev(v, b) for v in succ if ev(v, a))
+                bad = some([x - y for x, y in zip(ext(a), ext(b))])
+                return [nw - t for nw, t in zip(normal, bad)]
             case Box(a):
-                return w in normals and all(ev(v, a) for v in succ)
+                bad = some([every - x for x in ext(a)])
+                return [nw - t for nw, t in zip(normal, bad)]
             case Dia(a):
-                return w not in normals or any(ev(v, a) for v in succ)
+                return [(every - nw) | s for nw, s in zip(normal, some(ext(a)))]
         raise TypeError(f"not a formula: {g!r}")
 
-    return ev(w, f)
+    return ext
 
 
 def normal_eval_json(mj: dict, w: int, f: Formula) -> bool:

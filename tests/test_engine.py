@@ -1,19 +1,23 @@
 """The batched search engine against an independent scan.
 
 The oracle route walks `naive_frames` and every valuation in canonical
-order and evaluates over sets with `eval_json`; the engine compiles the
+order and evaluates over sets with `extensions`; the engine compiles the
 formulas once and evaluates chunks of frames x valuations.  Both must return
 the same first witness, compared as (frame size, world, model JSON), or
-None on both sides.
+None on both sides.  Where the engine scans one valuation per propositional
+type, it must also return what its plain scan of every valuation code
+returns.
 """
 
 import tracemalloc
 from dataclasses import asdict
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings
 
-from superstrict.catalog import CATALOG
+from superstrict import search
+from superstrict.catalog import CATALOG, CATALOG_BY_NAME
 from superstrict.search import (
     _PAIRS,
     _compile,
@@ -21,53 +25,65 @@ from superstrict.search import (
     _frame_blocks,
     _leaves,
     _planes,
+    _representatives,
+    _table,
     definability_probe,
     enumerate_frames,
     find_countermodel,
     rule_probe_witness,
 )
 from superstrict.semantics import NAMED_CLASSES, S2, S2_0, S3, FrameClass, frame_to_json, model_to_json
-from superstrict.syntax import Box, desugar, parse, variables
+from superstrict.syntax import And, Box, Or, Var, desugar, parse, variables
 
-from oracles import eval_json, naive_frames
+from oracles import eval_json, extensions, naive_frames
 from strategies import formulas
 
+
 def oracle_first(fs, fc, max_n, hit, min_n=1):
-    """First (n, world, model JSON) in canonical order where `hit(mj, w)`,
-    over sizes min_n..max_n."""
+    """First (n, world, model JSON) in canonical order in `hit(ext, normal)`,
+    over sizes min_n..max_n.  On one frame and a block of valuations, `ext`
+    gives a formula's truth as `extensions` does, for each world the set of
+    valuations under which it holds, `normal` is every valuation at a normal
+    world and none elsewhere, and `hit` gives such sets too."""
     names = sorted(set().union(*map(variables, fs)))
     k = len(names)
     for n in range(min_n, max_n + 1):
+        worlds = [[j for j in range(n) if group >> (n - 1 - j) & 1] for group in range(1 << n)]
+
+        @cache
+        def valuations(lo):  # codes lo..lo+511 and their truth sets, built when first reached
+            vals = [{x: worlds[code >> (k - 1 - i) * n & (1 << n) - 1] for i, x in enumerate(names)}
+                    for code in range(lo, min(lo + 512, 1 << (k * n)))]
+            return vals, {x: [{i for i, val in enumerate(vals) if w in val[x]} for w in range(n)] for x in names}
+
         for edges, normals in naive_frames(n, **asdict(fc)):
-            rel = [sorted(j for (i, j) in edges if i == w) for w in range(n)]
-            for code in range(1 << (k * n)):
-                val = {x: [j for j in range(n) if code >> (k * n - 1 - (i * n + j)) & 1]
-                       for i, x in enumerate(names)}
-                mj = {"worlds": n, "rel": rel, "normals": sorted(normals), "val": val}
-                for w in range(n):
-                    if hit(mj, w):
-                        return n, w, mj
+            frame = {"worlds": n, "rel": [sorted(j for (i, j) in edges if i == w) for w in range(n)],
+                     "normals": sorted(normals)}
+            for lo in range(0, 1 << (k * n), 512):  # in blocks, so a hit early in many valuations ends the walk
+                vals, truth = valuations(lo)
+                every = set(range(len(vals)))
+                hits = hit(extensions(frame, truth, len(vals)), [every if w in normals else set() for w in range(n)])
+                if any(hits):
+                    i, w = min((min(h), w) for w, h in enumerate(hits) if h)
+                    return n, w, frame | {"val": vals[i]}
     return None
 
 
 def oracle_countermodel(f, fc, max_n, min_n=1):
-    return oracle_first([f], fc, max_n, lambda mj, w: w in mj["normals"] and not eval_json(mj, w, f), min_n)
+    return oracle_first([f], fc, max_n, lambda ext, normal: [nw - x for nw, x in zip(normal, ext(f))], min_n)
 
 
 def oracle_rule(premises, conclusion, fc, max_n, min_n=1):
-    def hit(mj, w):
-        return (
-            w in mj["normals"]
-            and not eval_json(mj, w, conclusion)
-            and all(eval_json(mj, v, p) for v in mj["normals"] for p in premises)
-        )
+    def hit(ext, normal):
+        failed = set().union(*(nw - x for p in premises for nw, x in zip(normal, ext(p))))
+        return [nw - x - failed for nw, x in zip(normal, ext(conclusion))]
 
     return oracle_first([*premises, conclusion], fc, max_n, hit, min_n)
 
 
 def oracle_definability(f, fc, max_n, min_n=1):
     g = desugar(f)
-    return oracle_first([f, g], fc, max_n, lambda mj, w: eval_json(mj, w, f) != eval_json(mj, w, g), min_n)
+    return oracle_first([f, g], fc, max_n, lambda ext, normal: [x ^ y for x, y in zip(ext(f), ext(g))], min_n)
 
 
 def countermodel_key(f, fc, max_n):
@@ -79,10 +95,33 @@ def probe_key(wit):
     return None if wit is None else (wit[0].frame.n, wit[1], model_to_json(wit[0]))
 
 
+def search_keys(f, other, fc, max_n):
+    """The engine's first witnesses of the three searches."""
+    return (countermodel_key(f, fc, max_n), probe_key(rule_probe_witness([f], other, fc, max_n)),
+            probe_key(definability_probe(f, fc, max_n)))
+
+
+def plain_scan(mp):
+    """Make `_first_hit` scan every valuation code: no propositional types."""
+    mp.setattr(search, "_representatives", lambda *args: None)
+
+
 def assert_all_searches_agree(f, other, fc, max_n):
-    assert countermodel_key(f, fc, max_n) == oracle_countermodel(f, fc, max_n)
-    assert probe_key(rule_probe_witness([f], other, fc, max_n)) == oracle_rule([f], other, fc, max_n)
-    assert probe_key(definability_probe(f, fc, max_n)) == oracle_definability(f, fc, max_n)
+    expected = (oracle_countermodel(f, fc, max_n), oracle_rule([f], other, fc, max_n), oracle_definability(f, fc, max_n))
+    assert search_keys(f, other, fc, max_n) == expected
+
+
+def assert_reduced_matches_plain(f, other, fc, max_n):
+    reduced = search_keys(f, other, fc, max_n)
+    with pytest.MonkeyPatch.context() as mp:
+        plain_scan(mp)
+        assert search_keys(f, other, fc, max_n) == reduced
+    return reduced
+
+
+def reps_of(*fs):
+    program, roots, names = _compile(fs)
+    return _representatives(program, roots, len(names))
 
 
 @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
@@ -90,11 +129,102 @@ def test_catalog_entry_agrees_with_oracle(entry):
     assert_all_searches_agree(entry.formula, Box(entry.formula), entry.frame_class, min(entry.bound, 2))
 
 
+# With 3 variables the scan first reads a code table at n = 3, 2^9 valuations a frame.
+REDUCED_AT_THREE = [e for e in CATALOG if len(variables(e.formula)) == 3 and reps_of(e.formula)]
+
+
+@pytest.mark.parametrize("entry", REDUCED_AT_THREE, ids=lambda e: e.name)
+def test_catalog_entry_agrees_with_oracle_where_types_merge(entry):
+    assert_all_searches_agree(entry.formula, Box(entry.formula), entry.frame_class, 3)
+
+
 @pytest.mark.parametrize("class_name", sorted(NAMED_CLASSES))
 @settings(max_examples=30)
 @given(formulas(max_leaves=4), formulas(max_leaves=3))
 def test_random_formulas_agree_with_oracle(class_name, f, other):
     assert_all_searches_agree(f, other, NAMED_CLASSES[class_name], 2)
+
+
+# One valuation per propositional type against the plain scan.  A formula's
+# truth depends on the valuation only through the rows of its maximal
+# propositional subformulas, so the scan reads one valuation per class of
+# equal rows, the smallest code of each, and must find the same first witness.
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+def test_catalog_entry_reduced_matches_plain(entry):
+    assert_reduced_matches_plain(entry.formula, Box(entry.formula), entry.frame_class, entry.bound)
+
+
+@pytest.mark.parametrize("class_name", sorted(NAMED_CLASSES))
+@settings(max_examples=20)
+@given(formulas(max_leaves=5), formulas(max_leaves=3))
+def test_random_formulas_reduced_match_plain(class_name, f, other):
+    # all three variables, so the table is read at n = 3
+    g = Or(f, And(Var("p"), And(Var("q"), Var("r"))))
+    assert_reduced_matches_plain(g, other, NAMED_CLASSES[class_name], 3)
+
+
+K = NAMED_CLASSES["k"]
+
+
+def test_witness_in_canonical_not_world_major_order():
+    # Types ~p (0), p & ~q (8) and p & q (12); r and s only in a constant.
+    # World 1 sees the dead end 0 and is ~p with 0 of type p & q, or both
+    # are of type p & ~q.  Canonical order puts (12, 0) first, as p@1 = 0;
+    # world-major order over the types would put (8, 8) first.
+    f = parse("~((~p & dia ((p & q) & box bot)) | ((p & ~q) & dia ((p & ~q) & box bot)) | (r & s & ~r))")
+    assert reps_of(f) == (0, 8, 12)
+    assert 1 << 4 * 2 > 64 and _table(2, 4, (0, 8, 12)).size == 16  # 9 codes, padded
+    key = countermodel_key(f, K, 2)
+    assert key == oracle_countermodel(f, K, 2)
+    assert key == (2, 1, {"worlds": 2, "rel": [[], [0]], "normals": [0, 1],
+                          "val": {"p": [0], "q": [0], "r": [], "s": []}})
+    assert_reduced_matches_plain(f, parse("dia top"), K, 2)
+
+
+def test_witness_in_the_padded_last_word():
+    # 12 types (p, p & q, r, s), so 144 codes at n = 2, padded to 192; the
+    # witness needs every variable at both worlds: the last code, index 143
+    f = parse("~((r & (s & ((p & q) & dia ((p & q) & (r & (s & box bot)))))) | (box bot & dia p))")
+    reps = reps_of(f)
+    assert reps == (0, 1, 2, 3, 8, 9, 10, 11, 12, 13, 14, 15)
+    table = _table(2, 4, reps)
+    assert table.size == 192 and set(table[143:].tolist()) == {(1 << 8) - 1}
+    key = countermodel_key(f, K, 2)
+    assert key == oracle_countermodel(f, K, 2)
+    assert key[2]["val"] == {x: [0, 1] for x in "pqrs"} and valuation_code(key[2]) == (1 << 8) - 1
+    assert_reduced_matches_plain(f, parse("dia top"), K, 2)
+    assert _table(4, 3, reps_of(CATALOG_BY_NAME["ssi_transitivity"].formula)).size == 2432  # 7^4 = 2,401 codes
+
+
+def test_constant_atoms_leave_one_valuation():
+    # world 1 sees only 2, which sees the dead end 0: three worlds, and every
+    # maximal propositional subformula is constant
+    f = parse("~(~dia box (r & ~r & p & q) & dia dia box (r & ~r & p & q))")
+    assert reps_of(f) == (0,)
+    assert _table(3, 3, (0,)).tolist() == [0]
+    assert_all_searches_agree(f, parse("dia top"), K, 3)
+    assert assert_reduced_matches_plain(f, parse("dia top"), K, 3)[0] == (
+        3, 1, {"worlds": 3, "rel": [[], [2], [0]], "normals": [0, 1, 2], "val": {"p": [], "q": [], "r": []}})
+
+
+def test_code_tables_stay_within_the_pair_budget():
+    for k, reps in ((3, (0, 2, 3, 4, 5, 6, 7)), (4, tuple(range(15))), (2, (0, 2, 3)), (15, (0, 1, 5))):
+        for n in range(1, 64 // k + 1):
+            table = _table(n, k, reps)
+            if len(reps) ** n > _PAIRS:
+                assert table is None
+            elif table is not None:
+                assert len(reps) ** n <= table.size <= _PAIRS and table.size < 1 << k * n
+                assert (table[1:] >= table[:-1]).all()
+    assert _table(1, 7, tuple(range(127))) is None  # 127 codes pad to 128 = 2^7: nothing saved
+    assert reps_of(parse(" & ".join("abcdefghijklmnop"))) is None  # 2^16 assignments: more than _PAIRS
+
+
+def test_no_types_when_atoms_are_distinct_variables():
+    # every maximal propositional subformula a distinct variable: each assignment its own type
+    for text in ("dia p -> dia (q & dia r)", "(dia p -> q) & r", "p & dia q", "box box top"):
+        assert reps_of(parse(text)) is None
+    assert sum(reps_of(e.formula) is not None for e in CATALOG) == 20
 
 
 # Witnesses pinned from the frame-at-a-time scan the engine replaced.
@@ -157,7 +287,7 @@ def test_valuation_ranges_at_36_bits_decode_without_the_whole_axis():
     assert all(int(leaf[0, -1]) == 0b1111 for leaf in last_leaves)
 
 
-# Word shapes the engine picks: n worlds, k variables, so 2^(k*n) valuations
+# Word shapes the plain scan picks: n worlds, k variables, so 2^(k*n) valuations
 # per frame packed `used = min(2^(k*n), _PAIRS, 64)` to a word.  The
 # countermodel makes the variables in `true` hold at the last world and every
 # other variable fail at the first, so it sits at bit j of word t.
@@ -313,3 +443,27 @@ def test_frame_table_does_not_repeat_relations():
     assert all(sorted(normals.tolist()) == list(range(1, 16)) for _, normals in blocks)  # every nonempty set
     # 4,915,200 bytes when each relation was repeated once per mask
     assert sum(rows.nbytes + normals.nbytes for rows, normals in blocks) < 300_000
+
+
+# The word shapes, chunk geometries and memory bounds above are pinned for
+# the plain scan of every valuation code; where a formula's types merge
+# valuations the engine reads a shorter code table instead, so run them on
+# the plain scan as well.
+PLAIN_SCAN_CASES = [
+    *(pytest.param(case, id=case.__name__.removeprefix("test_")) for case in (
+        test_witness_beyond_the_first_chunk,
+        test_valuations_beyond_the_pair_budget,
+        test_ex_temporaries_stay_small,
+        test_several_relations_by_all_masks,
+        test_one_relation_split_into_mask_groups,
+        test_one_frame_with_valuation_ranges,
+    )),
+    *(pytest.param(partial(test_every_word_shape_agrees_with_oracle, *shape), id="word_shape-" + "-".join(map(str, shape)))
+      for shape in WORD_SHAPES),
+]
+
+
+@pytest.mark.parametrize("case", PLAIN_SCAN_CASES)
+def test_on_the_plain_scan(case, monkeypatch):
+    plain_scan(monkeypatch)
+    case()
