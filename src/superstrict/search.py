@@ -29,22 +29,25 @@ bit-sliced: a slot's value on a chunk is an array of shape (n, relations,
 masks, words), one bit plane per world.  A frame's valuations are packed
 little-endian into words of `used = min(vstep, 64)` bits (uint8 holds 1, 2,
 4 or 8 of them, uint16, uint32 and uint64 are filled), so bit j of word t of
-plane w is the slot's truth at world w under valuation code lo + t * used +
-j.  The leaves broadcast: the variables' planes are (n, 1, 1, words), the
-normal points (n, 1, masks, 1), and a relation's successors a (world,
-successor, relations, 1, 1) array of all-ones or all-zero words, so a slot
-that never meets the normal points, such as "some successor is in" of a
-propositional operand, is computed once per relation, not once per frame.
-"Some successor is in" ORs the successor words, masked by the operand, over
-the successor axis.  A search is a hit predicate on the program's results;
-the first nonzero word of the hit planes ORed over the worlds, in row-major
-order, decoded as (relation i, mask m, word t), and its lowest set bit give
-the first hit frame and valuation in canonical order, and the lowest plane
-holding that bit its world.  Frame and Model objects are built for the
-witness only.  Every search runs through `_first_hit`, which re-verifies the
-witness once: its frame against the class, the hit predicate on the scalar
-extensions of :mod:`superstrict.semantics`.  A failure there is an internal
-fault and raises `RuntimeError`; `CountermodelReport` validates its public
+plane w is the slot's truth at world w under the valuation at bit j of word
+t of the variables' planes; in the plain scan, which packs `_planes` from
+uint64 codes and so stops at k*n = 64, that is code lo + t * used + j.  The
+leaves broadcast: the variables' planes are (n, 1, 1, words), the normal
+points (n, 1, masks, 1), and a relation's successors a (world, successor,
+relations, 1, 1) array of all-ones or all-zero words, so a slot that never
+meets the normal points, such as "some successor is in" of a propositional
+operand, is computed once per relation, not once per frame.  "Some
+successor is in" ORs the successor words, masked by the operand, over the
+successor axis.  A search is a hit predicate on the program's results; the
+first nonzero word of the hit planes ORed over the worlds, in row-major
+order, decoded as (relation i, mask m, word t), and its lowest set bit j
+give the first hit frame in canonical order, the lowest plane holding that
+bit its world, and the variables' planes at word t and bit j its valuation.
+Frame and Model objects are built for the witness only.  Every search runs
+through `_first_hit`, which re-verifies the witness once: its frame against
+the class, the hit predicate on the scalar extensions of
+:mod:`superstrict.semantics`.  A failure there is an internal fault and
+raises `RuntimeError`; `CountermodelReport` validates its public
 construction with `ValueError`, and takes a witness `_first_hit` has
 checked without checking it again.
 
@@ -57,26 +60,26 @@ implication alone.  Two valuations that give every world the same row of
 truth values for them agree on every slot, at every world, in every frame,
 and so on every hit.  `_representatives` evaluates those slots once per
 search on the 2^k assignments of one world and keeps the smallest
-assignment giving each row; the valuations that give every world such a
-representative have their canonical codes in `_table`, ascending and padded
-with copies of the last to whole words, and `_first_hit` reads entries
-lo..lo+vstep-1 of that table where the plain scan reads codes
-lo..lo+vstep-1, so bit j decodes to entry lo + j.  The witness is the same:
-the valuations with one row per world form a product over the worlds, and
-canonical order is variable-major, so the smallest code among them takes at
-each world the smallest assignment with its row, a representative.  The
-first hit in canonical order is therefore a representative, and the scan
-of representatives in ascending order meets it first; a padded copy hits
-only if the last code, which comes before it, does.  The table is read
-where a frame has more than 64 valuations, at most `_PAIRS` codes, and only
-when it is shorter than the 2^(k*n) codes it replaces.
+assignment giving each row.  `_table` packs the valuations that give every
+world such a representative into the variables' bit planes, in canonical
+order (a `np.lexsort` of their n-bit groups, the first variable's primary),
+padded with copies of the last to whole words; it forms no code, so it
+holds at any k*n, and `_first_hit` runs on it where the plain scan runs on
+`_planes`.  The witness is the same: the valuations with one row per world
+form a product over the worlds, and canonical order is variable-major, so
+the smallest code among them takes at each world the smallest assignment
+with its row, a representative.  The first hit in canonical order is
+therefore a representative, and the scan of representatives in canonical
+order meets it first; a padded copy hits only if the last entry, which
+comes before it, does.  The table is read where a frame has more than 64
+valuations, at most `_PAIRS` of them, and only if shorter than the scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -150,49 +153,45 @@ def _frame_blocks(n: int, fc: FrameClass, all_points: bool) -> Iterator[tuple[np
     return (b for b in blocks if b[0].size)
 
 
-@lru_cache(maxsize=64)
-def _table(n: int, k: int, reps: tuple[int, ...]) -> np.ndarray | None:
-    """The canonical codes of the valuations on n worlds that give every
-    world one of the k-bit assignments `reps`, ascending, padded with copies
-    of the last code to a power of two up to 64, else to whole 64-bit words;
-    None when there are more than `_PAIRS` of them or the padded table is no
-    shorter than the 2^(k*n) codes it replaces."""
-    if len(reps) ** n > _PAIRS:
-        return None
-    # assignment a at world w sets bit k*n - 1 - (i*n + w) for each bit k - 1 - i of a
-    top = np.array([sum(1 << k * n - 1 - i * n for i in range(k) if a >> k - 1 - i & 1) for a in reps],
-                   dtype=np.uint64)
-    codes = np.zeros(1, dtype=np.uint64)
-    for w in range(n):
-        codes = (codes[:, None] | top >> np.uint64(w)).ravel()
-    codes.sort()
-    size = 1 << (codes.size - 1).bit_length() if codes.size <= 64 else -(-codes.size // 64) * 64
-    if size >= 1 << k * n:
-        return None
-    return _frozen(np.concatenate([codes, np.full(size - codes.size, codes[-1])]))[0]
-
-
-@lru_cache(maxsize=64)
-def _leaves(n: int, k: int, lo: int, hi: int, reps: tuple[int, ...] | None = None) -> tuple[np.ndarray, ...]:
-    """Extension masks, shape (1, hi - lo), of k variables under valuation
-    codes lo..hi-1, or under entries lo..hi-1 of the code table of `reps`."""
-    codes = np.arange(lo, hi, dtype=np.uint64) if reps is None else _table(n, k, reps)[lo:hi]
-    return _frozen(*(g[None, :] for g in _groups(codes, n, k)))
-
-
-@lru_cache(maxsize=64)
-def _planes(n: int, k: int, lo: int, hi: int, reps: tuple[int, ...] | None = None) -> tuple[np.ndarray, ...]:
-    """The `_leaves` masks as bit planes, shape (n, 1, words): bit j of word t
-    of plane w is set iff the variable holds at w under code lo + t * used + j
-    (table entry lo + t * used + j with `reps`), with `used = min(hi - lo, 64)`
-    bits to a word."""
-    used = min(hi - lo, 64)
+def _pack(n: int, masks: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Each variable's world masks under a list of valuations as bit planes,
+    shape (n, 1, words): bit j of word t of plane w is its truth at w under
+    valuation t * used + j, with `used = min(valuations, 64)`."""
     planes = []
-    for leaf in _leaves(n, k, lo, hi, reps):
-        bits = leaf >> np.arange(n, dtype=leaf.dtype)[:, None] & 1
-        packed = np.packbits(bits.reshape(n, -1, used), axis=-1, bitorder="little")
+    for mask in masks:
+        bits = mask >> np.arange(n, dtype=mask.dtype)[:, None] & 1
+        packed = np.packbits(bits.reshape(n, -1, min(mask.size, 64)), axis=-1, bitorder="little")
         planes.append(packed.view(f"<u{packed.shape[-1]}").reshape(n, 1, -1))
     return _frozen(*planes)
+
+
+@lru_cache(maxsize=64)
+def _table(n: int, k: int, reps: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], int] | None:
+    """The `_pack` planes of the valuations on n worlds that give every
+    world one of the k-bit assignments `reps`, in canonical order, padded
+    with copies of the last to a power of two up to 64, else to whole 64-bit
+    words, and that padded count; None above `_PAIRS` of them or when that
+    count is no smaller than the 2^(k*n) valuations they replace."""
+    count = len(reps) ** n
+    if count > _PAIRS:
+        return None
+    size = 1 << (count - 1).bit_length() if count <= 64 else -(-count // 64) * 64
+    if size >= 1 << k * n:
+        return None
+    rev = _reversal(n)
+    bits = np.array([[a >> k - 1 - i & 1 for a in reps] for i in range(k)], dtype=rev.dtype)
+    masks = np.zeros((k, 1), dtype=rev.dtype)
+    for w in range(n):  # each variable's world masks over the product of the worlds' assignments
+        masks = (masks[:, :, None] | bits[:, None, :] << w).reshape(k, -1)
+    order = np.lexsort(rev.take(masks)[::-1])  # by n-bit groups, the first variable's the primary key
+    return _pack(n, masks.take(np.pad(order, (0, size - count), mode="edge"), axis=1)), size
+
+
+@lru_cache(maxsize=64)
+def _planes(n: int, k: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """The bit planes of k variables under valuation codes lo..hi-1, as
+    `_pack` lays them out: bit j of word t is code lo + t * used + j."""
+    return _pack(n, _groups(np.arange(lo, hi, dtype=np.uint64), n, k))
 
 
 def enumerate_frames(n: int, fc: FrameClass) -> Iterator[Frame]:
@@ -335,12 +334,13 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     `vstep` valuations: all masks of `fstep // masks` relations when they
     fit, else one relation and `fstep` masks at a time, so the bits of the
     (relations, masks, words) planes lie in canonical order.  The valuations
-    are the codes 0..2^(k*n)-1 or, where the formulas' propositional types
-    merge them, the code table of the smallest valuation of each class:
-    the same loop, hit and decode on a shorter, still ascending, list of
-    codes, whose first hit is the canonical one (see the module docstring).
-    The types are computed once, at the first n with more than 64
-    valuations a frame."""
+    are the codes 0..2^(k*n)-1, packed by `_planes` a range at a time, or,
+    where the formulas' propositional types merge them, the `_table` planes
+    of the smallest valuation of each class, a shorter list in the same
+    order whose first hit is the canonical one (see the module docstring).
+    The witness valuation is read from the planes the hit was found on, at
+    its word and bit.  The types are computed once, at the first n with
+    more than 64 valuations a frame."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     program, roots, names = _compile(formulas)
@@ -350,9 +350,7 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
         # up to 64 valuations a frame fill one word, and a shorter table saves no word operation
         reps = types() if k * n > 6 else None
         table = None if reps is None else _table(n, k, reps)
-        if table is None:
-            reps = None  # the plain scan of every code
-        nvals = 1 << (k * n) if table is None else table.size
+        nvals = 1 << (k * n) if table is None else table[1]
         vstep = min(nvals, _PAIRS)  # a chunk: fstep frames x vstep valuations
         fstep, used = _PAIRS // vstep, min(vstep, 64)
         words = vstep // used
@@ -369,19 +367,19 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
                 for g0 in range(0, normals.size, gstep):
                     norm = norms[:, :, g0:g0 + gstep]
                     for lo in range(0, nvals, vstep):
-                        planes = (p[:, None] for p in _planes(n, k, lo, lo + vstep, reps))
-                        vals = _run(program, (full ^ full, norm, *planes), succ, full)
+                        planes = _planes(n, k, lo, lo + vstep) if table is None else table[0]
+                        vals = _run(program, (full ^ full, norm, *(p[:, None] for p in planes)), succ, full)
                         mask = hit(norm, *(vals[r] for r in roots))
                         if mask.any():
                             mask = np.broadcast_to(mask, (n, fr.shape[1], norm.shape[2], words))
                             pairs = np.bitwise_or.reduce(mask, axis=0)
                             i, m, t = map(int, np.unravel_index(np.flatnonzero(pairs)[0], pairs.shape))
                             bits = int(pairs[i, m, t])
-                            j = t * used + (bits & -bits).bit_length() - 1
-                            world = int(np.flatnonzero(mask[:, i, m, t] >> j % used & 1)[0])
+                            j = (bits & -bits).bit_length() - 1
+                            world = int(np.flatnonzero(mask[:, i, m, t] >> j & 1)[0])
                             frame = Frame(n, tuple(int(r) for r in fr[:, i]), int(normals[g0 + m]))
-                            leaves = _leaves(n, k, lo, lo + vstep, reps)
-                            model = Model(frame, {x: int(leaf[0, j]) for x, leaf in zip(names, leaves)})
+                            model = Model(frame, {x: sum((b >> j & 1) << w for w, b in enumerate(p[:, 0, t].tolist()))
+                                                  for x, p in zip(names, planes)})
                             if (not satisfies_class(frame, fc)
                                     or not hit(frame.normals, *(extension(model, f) for f in formulas)) >> world & 1):
                                 raise RuntimeError("search witness failed re-verification")

@@ -93,6 +93,12 @@ class TestValidCommand:
         model = json.loads(rest)
         assert set(model) == {"worlds", "rel", "normals", "val"}
 
+    def test_types_beyond_64_valuation_bits(self, capsys):
+        # 15 variables at n = 5: 75 bits a valuation, read through the type table alone
+        a = " & ".join(f"v{i}" for i in range(15))
+        assert main(["valid", "--formula", f"box ({a}) -> ({a})", "--class", "s4", "--max-n", "5"]) == 0
+        assert capsys.readouterr().out == "valid up to 5\n"
+
     def test_internal_fault_is_not_an_input_error(self, monkeypatch):
         # the root of the formula comes out negated, so the scan reports a false witness
         run = search._run

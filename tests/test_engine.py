@@ -9,10 +9,12 @@ type, it must also return what its plain scan of every valuation code
 returns.
 """
 
+import itertools
 import tracemalloc
 from dataclasses import asdict
 from functools import cache, partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -23,7 +25,6 @@ from superstrict.search import (
     _compile,
     _first_hit,
     _frame_blocks,
-    _leaves,
     _planes,
     _representatives,
     _table,
@@ -124,12 +125,24 @@ def reps_of(*fs):
     return _representatives(program, roots, len(names))
 
 
+def table_codes(n, k, reps):
+    """The canonical codes, as Python ints, of the valuations whose bit
+    planes `_table` packs, in table order; None where it builds no table."""
+    table = _table(n, k, reps)
+    if table is None:
+        return None
+    planes, size = table
+    bits = np.array([np.unpackbits(p.view(np.uint8), axis=-1, bitorder="little")[:, 0, :size] for p in planes])
+    rows = np.packbits(bits.reshape(k * n, size).T, axis=1)  # bit i*n + w from the top: variable i at world w
+    return [int.from_bytes(row.tobytes(), "big") >> -(k * n) % 8 for row in rows]
+
+
 @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
 def test_catalog_entry_agrees_with_oracle(entry):
     assert_all_searches_agree(entry.formula, Box(entry.formula), entry.frame_class, min(entry.bound, 2))
 
 
-# With 3 variables the scan first reads a code table at n = 3, 2^9 valuations a frame.
+# With 3 variables the scan first reads a type table at n = 3, 2^9 valuations a frame.
 REDUCED_AT_THREE = [e for e in CATALOG if len(variables(e.formula)) == 3 and reps_of(e.formula)]
 
 
@@ -173,7 +186,7 @@ def test_witness_in_canonical_not_world_major_order():
     # world-major order over the types would put (8, 8) first.
     f = parse("~((~p & dia ((p & q) & box bot)) | ((p & ~q) & dia ((p & ~q) & box bot)) | (r & s & ~r))")
     assert reps_of(f) == (0, 8, 12)
-    assert 1 << 4 * 2 > 64 and _table(2, 4, (0, 8, 12)).size == 16  # 9 codes, padded
+    assert 1 << 4 * 2 > 64 and len(table_codes(2, 4, (0, 8, 12))) == 16  # 9 codes, padded
     key = countermodel_key(f, K, 2)
     assert key == oracle_countermodel(f, K, 2)
     assert key == (2, 1, {"worlds": 2, "rel": [[], [0]], "normals": [0, 1],
@@ -187,13 +200,13 @@ def test_witness_in_the_padded_last_word():
     f = parse("~((r & (s & ((p & q) & dia ((p & q) & (r & (s & box bot)))))) | (box bot & dia p))")
     reps = reps_of(f)
     assert reps == (0, 1, 2, 3, 8, 9, 10, 11, 12, 13, 14, 15)
-    table = _table(2, 4, reps)
-    assert table.size == 192 and set(table[143:].tolist()) == {(1 << 8) - 1}
+    table = table_codes(2, 4, reps)
+    assert len(table) == 192 and set(table[143:]) == {(1 << 8) - 1}
     key = countermodel_key(f, K, 2)
     assert key == oracle_countermodel(f, K, 2)
     assert key[2]["val"] == {x: [0, 1] for x in "pqrs"} and valuation_code(key[2]) == (1 << 8) - 1
     assert_reduced_matches_plain(f, parse("dia top"), K, 2)
-    assert _table(4, 3, reps_of(CATALOG_BY_NAME["ssi_transitivity"].formula)).size == 2432  # 7^4 = 2,401 codes
+    assert len(table_codes(4, 3, reps_of(CATALOG_BY_NAME["ssi_transitivity"].formula))) == 2432  # 7^4 = 2,401 codes
 
 
 def test_constant_atoms_leave_one_valuation():
@@ -201,7 +214,7 @@ def test_constant_atoms_leave_one_valuation():
     # maximal propositional subformula is constant
     f = parse("~(~dia box (r & ~r & p & q) & dia dia box (r & ~r & p & q))")
     assert reps_of(f) == (0,)
-    assert _table(3, 3, (0,)).tolist() == [0]
+    assert table_codes(3, 3, (0,)) == [0]
     assert_all_searches_agree(f, parse("dia top"), K, 3)
     assert assert_reduced_matches_plain(f, parse("dia top"), K, 3)[0] == (
         3, 1, {"worlds": 3, "rel": [[], [2], [0]], "normals": [0, 1, 2], "val": {"p": [], "q": [], "r": []}})
@@ -210,14 +223,37 @@ def test_constant_atoms_leave_one_valuation():
 def test_code_tables_stay_within_the_pair_budget():
     for k, reps in ((3, (0, 2, 3, 4, 5, 6, 7)), (4, tuple(range(15))), (2, (0, 2, 3)), (15, (0, 1, 5))):
         for n in range(1, 64 // k + 1):
-            table = _table(n, k, reps)
+            table = table_codes(n, k, reps)
             if len(reps) ** n > _PAIRS:
                 assert table is None
             elif table is not None:
-                assert len(reps) ** n <= table.size <= _PAIRS and table.size < 1 << k * n
-                assert (table[1:] >= table[:-1]).all()
-    assert _table(1, 7, tuple(range(127))) is None  # 127 codes pad to 128 = 2^7: nothing saved
+                assert len(reps) ** n <= len(table) <= _PAIRS and len(table) < 1 << k * n
+                assert table == sorted(table)
+    assert table_codes(1, 7, tuple(range(127))) is None  # 127 codes pad to 128 = 2^7: nothing saved
     assert reps_of(parse(" & ".join("abcdefghijklmnop"))) is None  # 2^16 assignments: more than _PAIRS
+
+
+# Five types of p, q and r, which the sorted names put first; x10..x21 occur
+# only in a contradiction.  At n = 5 a valuation has 75 bits.
+FIVE_TYPES = "~(dia (p & q & r) & dia (p & q & ~r) & dia (p & ~q) & dia (~p & r) & dia (~p & ~r))"
+WIDE_X = " & ".join(f"x{i}" for i in range(10, 22))
+WIDE = parse(f"{FIVE_TYPES} | (({WIDE_X}) & ~({WIDE_X}))")
+
+
+def test_types_beyond_64_valuation_bits():
+    reps = reps_of(WIDE)
+    assert len(reps) == 5 and all(a % (1 << 12) == 0 for a in reps)  # the x variables false
+    n, k = 5, 15
+    codes = sorted(sum(1 << k * n - 1 - (i * n + w) for w, a in enumerate(row) for i in range(k) if a >> k - 1 - i & 1)
+                   for row in itertools.product(reps, repeat=n))
+    assert table_codes(n, k, reps) == codes + [codes[-1]] * (3136 - len(codes))  # 5^5 = 3,125 codes, padded
+    # the first witness sets no x variable, so it is the plain scan's witness without them
+    key = countermodel_key(WIDE, NAMED_CLASSES["s5"], n)
+    with pytest.MonkeyPatch.context() as mp:
+        plain_scan(mp)
+        size, world, mj = countermodel_key(parse(FIVE_TYPES), NAMED_CLASSES["s5"], n)
+    assert size == n and key == (size, world, mj | {"val": mj["val"] | {f"x{i}": [] for i in range(10, 22)}})
+    assert not eval_json(key[2], world, WIDE)
 
 
 def test_no_types_when_atoms_are_distinct_variables():
@@ -270,21 +306,21 @@ def test_valuation_ranges_at_36_bits_decode_without_the_whole_axis():
     last = (1 << (k * n)) - _PAIRS
     tracemalloc.start()
     try:
-        first_leaves = _leaves(n, k, 0, _PAIRS)
-        last_leaves = _leaves(n, k, last, last + _PAIRS)
+        first_planes = _planes(n, k, 0, _PAIRS)
+        last_planes = _planes(n, k, last, last + _PAIRS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * _PAIRS
-    for lo, leaves in ((0, first_leaves), (last, last_leaves)):
-        assert len(leaves) == k
+    for lo, planes in ((0, first_planes), (last, last_planes)):
+        assert len(planes) == k
         for offset in (0, 1, 12345, _PAIRS - 1):
             code = lo + offset
-            for i, leaf in enumerate(leaves):
-                assert leaf.shape == (1, _PAIRS)
+            for i, plane in enumerate(planes):
+                assert plane.shape == (n, 1, _PAIRS // 64)
                 expected = sum(1 << j for j in range(n) if code >> (k * n - 1 - (i * n + j)) & 1)
-                assert int(leaf[0, offset]) == expected
-    assert all(int(leaf[0, -1]) == 0b1111 for leaf in last_leaves)
+                assert sum((int(plane[w, 0, offset // 64]) >> offset % 64 & 1) << w for w in range(n)) == expected
+    assert all((plane[:, 0, -1] >> 63 & 1).all() for plane in last_planes)  # the last code: every world
 
 
 # Word shapes the plain scan picks: n worlds, k variables, so 2^(k*n) valuations
@@ -447,7 +483,7 @@ def test_frame_table_does_not_repeat_relations():
 
 # The word shapes, chunk geometries and memory bounds above are pinned for
 # the plain scan of every valuation code; where a formula's types merge
-# valuations the engine reads a shorter code table instead, so run them on
+# valuations the engine reads a shorter type table instead, so run them on
 # the plain scan as well.
 PLAIN_SCAN_CASES = [
     *(pytest.param(case, id=case.__name__.removeprefix("test_")) for case in (
