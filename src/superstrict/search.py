@@ -21,35 +21,38 @@ normal worlds: the relation codes that meet the class conditions, and the
 class's normality masks.  Frame (relation i, mask m) comes before every
 frame of a later relation, so canonical order is the row-major order of
 (relations, masks).  The program runs on chunks of `rstep` relations x
-`gstep` consecutive masks x a range of `vstep` valuation codes, at most
-`_PAIRS` pairs: all masks of several relations when they fit, else one
+`gstep` consecutive masks x a range of `vstep` valuation codes, sized by
+their working set: as many frames as keep every slot's bit planes within
+`_CHUNK_BYTES`, all masks of several relations when they fit, else one
 relation and a group of masks, and a frame with more valuations than
-`_PAIRS` forms a chunk alone and walks them in ranges.  The program is
-bit-sliced: a slot's value on a chunk is an array of shape (n, relations,
-masks, words), one bit plane per world.  A frame's valuations are packed
-little-endian into words of `used = min(vstep, 64)` bits (uint8 holds 1, 2,
-4 or 8 of them, uint16, uint32 and uint64 are filled), so bit j of word t of
-plane w is the slot's truth at world w under the valuation at bit j of word
-t of the variables' planes; in the plain scan, which packs `_planes` from
-uint64 codes and so stops at k*n = 64, that is code lo + t * used + j.  The
-leaves broadcast: the variables' planes are (n, 1, 1, words), the normal
-points (n, 1, masks, 1), and a relation's successors a (world, successor,
-relations, 1, 1) array of all-ones or all-zero words, so a slot that never
-meets the normal points, such as "some successor is in" of a propositional
-operand, is computed once per relation, not once per frame.  "Some
-successor is in" ORs the successor words, masked by the operand, over the
-successor axis.  A search is a hit predicate on the program's results; the
-first nonzero word of the hit planes ORed over the worlds, in row-major
-order, decoded as (relation i, mask m, word t), and its lowest set bit j
-give the first hit frame in canonical order, the lowest plane holding that
-bit its world, and the variables' planes at word t and bit j its valuation.
-Frame and Model objects are built for the witness only.  Every search runs
-through `_first_hit`, which re-verifies the witness once: its frame against
-the class, the hit predicate on the scalar extensions of
-:mod:`superstrict.semantics`.  A failure there is an internal fault and
-raises `RuntimeError`; `CountermodelReport` validates its public
-construction with `ValueError`, and takes a witness `_first_hit` has
-checked without checking it again.
+`_PAIRS` forms a chunk alone and walks them in ranges of `_PAIRS`.  The
+fixed cost of a chunk, the Python loop and one numpy call per instruction,
+is so paid once per megabyte of planes however few valuations a frame has.
+The program is bit-sliced: a slot's value on a chunk is an array of shape
+(n, relations, masks, words), one bit plane per world.  A frame's valuations
+are packed little-endian into words of `used = min(vstep, 64)` bits (uint8
+holds 1, 2, 4 or 8 of them, uint16, uint32 and uint64 are filled), so bit j
+of word t of plane w is the slot's truth at world w under the valuation at
+bit j of word t of the variables' planes; in the plain scan, which packs
+`_planes` from uint64 codes and so stops at k*n = 64, that is code
+lo + t * used + j.  The leaves broadcast: the variables' planes are
+(n, 1, 1, words), the normal points (n, 1, masks, 1), and a relation's
+successors a (world, successor, relations, 1, 1) array of all-ones or
+all-zero words, so a slot that never meets the normal points, such as "some
+successor is in" of a propositional operand, is computed once per relation,
+not once per frame.  "Some successor is in" ORs the successor words, masked
+by the operand, over the successor axis.  A search is a hit predicate on the
+program's results; the first nonzero word of the hit planes ORed over the
+worlds, in row-major order, decoded as (relation i, mask m, word t), and its
+lowest set bit j give the first hit frame in canonical order, the lowest
+plane holding that bit its world, and the variables' planes at word t and
+bit j its valuation.  Frame and Model objects are built for the witness
+only.  Every search runs through `_first_hit`, which re-verifies the witness
+once: its frame against the class, the hit predicate on the scalar
+extensions of :mod:`superstrict.semantics`.  A failure there is an internal
+fault and raises `RuntimeError`; `CountermodelReport` validates its public
+construction with `ValueError`, and takes a witness `_first_hit` has checked
+without checking it again.
 
 The scan reads one valuation per propositional type.  A formula's truth
 depends on the valuation only through its maximal propositional
@@ -87,7 +90,8 @@ from .semantics import Frame, FrameClass, Model, extension, holds, satisfies_cla
 from .semantics import relation_satisfies  # noqa: F401  callers look it up here
 from .syntax import And, Bot, Box, Dia, Formula, Imp, Or, Ssi, Sssi, Strict, Var, desugar, fold
 
-_PAIRS = 1 << 15  # (frame, valuation) pairs evaluated at once
+_PAIRS = 1 << 15  # valuations a frame evaluated at once
+_CHUNK_BYTES = 1 << 20  # bytes of every slot's bit planes in a chunk
 _CODES = 1 << 14  # relation codes decoded at once
 Program = list[tuple]  # (op, slot a, slot b); a variable's name as `a` until lowered
 
@@ -323,6 +327,21 @@ def _run(program: Program, leaves: Sequence, rows: np.ndarray, full: np.unsigned
     return vals
 
 
+def _geometry(slots: int, n: int, nvals: int) -> tuple[int, int, int, np.dtype]:
+    """(vstep, fstep, used, word): a chunk of `fstep` frames x `vstep` of
+    their `nvals` valuations, packed `used` to a word of dtype `word`, for a
+    program of `slots` slots on n worlds.  A frame with more than `_PAIRS`
+    valuations walks them in ranges of `_PAIRS`, alone in its chunk; else
+    the chunk takes as many frames as keep every slot's planes, n worlds of
+    `vstep // used` words a frame, within `_CHUNK_BYTES`, and at least one."""
+    vstep = min(nvals, _PAIRS)
+    used = min(vstep, 64)
+    word = np.dtype(f"<u{max(used // 8, 1)}")  # uint8 up to 8 used bits, then filled
+    frame_bytes = slots * n * (vstep // used) * word.itemsize
+    fstep = 1 if nvals > vstep else max(_CHUNK_BYTES // frame_bytes, 1)
+    return vstep, fstep, used, word
+
+
 def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Callable[..., np.ndarray],
                all_points: bool = False) -> tuple[Model, int] | None:
     """First model and world, in canonical order, in the bit planes that
@@ -331,16 +350,17 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     `extension` of each formula.
 
     A chunk crosses `rstep` relations with `gstep` consecutive masks and
-    `vstep` valuations: all masks of `fstep // masks` relations when they
-    fit, else one relation and `fstep` masks at a time, so the bits of the
-    (relations, masks, words) planes lie in canonical order.  The valuations
-    are the codes 0..2^(k*n)-1, packed by `_planes` a range at a time, or,
-    where the formulas' propositional types merge them, the `_table` planes
-    of the smallest valuation of each class, a shorter list in the same
-    order whose first hit is the canonical one (see the module docstring).
-    The witness valuation is read from the planes the hit was found on, at
-    its word and bit.  The types are computed once, at the first n with
-    more than 64 valuations a frame."""
+    `vstep` valuations, `fstep` frames as `_geometry` sizes them by the
+    bytes of the program's planes: all masks of `fstep // masks` relations
+    when they fit, else one relation and `fstep` masks at a time, so the
+    bits of the (relations, masks, words) planes lie in canonical order.
+    The valuations are the codes 0..2^(k*n)-1, packed by `_planes` a range
+    at a time, or, where the formulas' propositional types merge them, the
+    `_table` planes of the smallest valuation of each class, a shorter list
+    in the same order whose first hit is the canonical one (see the module
+    docstring).  The witness valuation is read from the planes the hit was
+    found on, at its word and bit.  The types are computed once, at the
+    first n with more than 64 valuations a frame."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     program, roots, names = _compile(formulas)
@@ -351,10 +371,8 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
         reps = types() if k * n > 6 else None
         table = None if reps is None else _table(n, k, reps)
         nvals = 1 << (k * n) if table is None else table[1]
-        vstep = min(nvals, _PAIRS)  # a chunk: fstep frames x vstep valuations
-        fstep, used = _PAIRS // vstep, min(vstep, 64)
+        vstep, fstep, used, word = _geometry(len(program), n, nvals)
         words = vstep // used
-        word = np.dtype(f"<u{max(used // 8, 1)}")  # uint8 up to 8 used bits, then filled
         full = word.type((1 << used) - 1)
         for rows, normals in _frame_blocks(n, fc, all_points):
             bit = np.arange(n, dtype=rows.dtype)[:, None]

@@ -79,6 +79,11 @@ class TestSuiteReportForms:
         digest = hashlib.sha256(run_suite().to_json().encode()).hexdigest()
         assert digest == "b636679e7812209c4f5634a9a2f9da9ab7c1aa53190b0835931af999e97e8ed8"
 
+    def test_json_at_max_n_4_is_pinned(self):
+        # every entry at n = 4, the roadmap's end-to-end target: about 5 s
+        digest = hashlib.sha256(run_suite(4).to_json().encode()).hexdigest()
+        assert digest == "c93fe09cc35081a2403a96b15efe7433aa4d49199b22429a389c72828027e256"
+
     def test_json_schema(self):
         data = json.loads(run_suite(1).to_json())
         assert set(data) == {"entries", "max_n", "mismatches"}

@@ -25,6 +25,7 @@ from superstrict.search import (
     _compile,
     _first_hit,
     _frame_blocks,
+    _geometry,
     _planes,
     _representatives,
     _table,
@@ -278,16 +279,21 @@ def valuation_code(mj):
 
 
 def test_witness_beyond_the_first_chunk():
-    # 4 variables at n = 3: 4,096 valuations per frame, so a chunk holds
-    # one relation with its 7 normality masks.
-    key = countermodel_key(THREE_SUCCESSORS, S2_0, 3)
-    assert key == THREE_SUCCESSORS_WITNESS
-    assert probe_key(rule_probe_witness([parse("dia s -> s")], THREE_SUCCESSORS, S2_0, 3)) == key
+    # 3 variables at n = 3: 512 valuations, 8 uint64 words a frame and world,
+    # so at 1/32 of the default budget a chunk holds one relation with its 7
+    # normality masks; the witness is relation 7 under mask 0.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_CHUNK_BYTES", 1 << 15)
+        rstep, gstep, _ = chunk_geometry([THREE_SUCCESSORS], 3, S2_0)
+        assert (rstep, gstep) == (1, 7)
+        key = countermodel_key(THREE_SUCCESSORS, S2_0, 3)
+        assert key == THREE_SUCCESSORS_WITNESS
+        assert probe_key(rule_probe_witness([parse("dia s -> s")], THREE_SUCCESSORS, S2_0, 3)) == key
     n, world, mj = key
     assert not eval_json(mj, world, THREE_SUCCESSORS)
     frames = [fr for fr in enumerate_frames(n, S2_0) if fr.normals]
     position = next(i for i, fr in enumerate(frames) if frame_to_json(fr) | {"val": mj["val"]} == mj)
-    assert position >= _PAIRS >> (4 * n)
+    assert position >= rstep * gstep
 
 
 def test_valuations_beyond_the_pair_budget():
@@ -376,7 +382,7 @@ def test_the_witness_world_is_the_lowest_plane():
 def test_ex_temporaries_stay_small():
     longest = max(CATALOG, key=lambda e: len(_compile([e.formula])[0]))
     assert len(_compile([longest.formula])[0]) == 45
-    # 2^16 valuations at n = 4, so a chunk is one frame of 512 uint64 words
+    # 2^16 valuations at n = 4 on the plain scan, so a chunk is one frame of 512 uint64 words
     four_successors = parse("(r & s & bot) | ~(dia (p & q) & dia (p & ~q) & dia (~p & q) & dia (~p & ~q))")
     searches = [(longest.formula, longest.frame_class, longest.bound), (four_successors, S3, 4)]
     for f, fc, max_n in searches:  # fill the frame, leaf and plane caches
@@ -388,30 +394,36 @@ def test_ex_temporaries_stay_small():
     finally:
         tracemalloc.stop()
     assert wits[0] is None and wits[1][0].frame.n == 4
-    # about 0.9 MB: a slot holds at most n * _PAIRS / 8 bytes a chunk, `ex` n times that
+    # about 0.8 MB, 1.1 MB on the plain scan: a chunk's slots hold at most
+    # `_CHUNK_BYTES` (1 MiB) together, or one frame's when that is more, and
+    # `ex` holds n times one slot
     assert peak < 1_250_000
 
 
 # Chunk geometries.  The frame table is relations x normality masks, and a
 # chunk crosses `rstep` relations with `gstep` consecutive masks: every mask
-# of several relations when they fit in `_PAIRS // vstep` frames, else one
-# relation and a group of masks, and one frame alone when its valuations
-# are walked in ranges.  The first witness is the first (relation, mask,
-# valuation) in that row-major order.
+# of several relations when their `fstep` frames keep the program's planes
+# within `_CHUNK_BYTES`, else one relation and a group of masks, and one
+# frame alone when its valuations are walked in ranges.  The first witness
+# is the first (relation, mask, valuation) in that row-major order.
 STAR = FrameClass(serial=True, symmetric=True)  # the first relation at n = 4: 0, 1 and 2 see 3, 3 sees them
 
 
-def chunk_geometry(n, k, fc, all_points=False):
-    """(relations, masks) a chunk holds at n worlds with k variables, and the class's masks."""
+def chunk_geometry(fs, n, fc, all_points=False):
+    """(relations, masks) a chunk holds on the plain scan of the formulas
+    `fs` at n worlds, and the class's masks."""
+    program, _, names = _compile(fs)
     masks = next(_frame_blocks(n, fc, all_points))[1].size
-    fstep = _PAIRS // min(1 << k * n, _PAIRS)
+    fstep = _geometry(len(program), n, 1 << len(names) * n)[1]
     gstep = min(fstep, masks)
     return fstep // gstep, gstep, masks
 
 
 def test_several_relations_by_all_masks():
-    assert chunk_geometry(2, 0, S2_0) == (10922, 3, 3)
-    assert chunk_geometry(2, 0, S2_0, all_points=True) == (8192, 4, 4)
+    f = parse("box dia top & (box box top | box ~box top)")
+    g = parse("~dia top |> top")
+    assert chunk_geometry([f], 2, S2_0) == (7598, 3, 3)  # 23 slots of 2 worlds x 1 byte a frame
+    assert chunk_geometry([g, desugar(g)], 2, S2_0, all_points=True) == (4854, 4, 4)
     # relation 2 (1 sees 0) fails `box dia top` only when both worlds are
     # normal, the last mask; relation 3 (1 sees 0 and itself), next in the
     # same chunk, fails the disjunction at world 1 under the first mask
@@ -423,7 +435,6 @@ def test_several_relations_by_all_masks():
     premises = [parse("box top")]  # true at every normal world
     assert probe_key(rule_probe_witness(premises, f, S2_0, 2)) == oracle_rule(premises, f, S2_0, 2) == key
     # a normal world with a non-normal successor: relation 2 under mask 1 of 0..3
-    g = parse("~dia top |> top")
     wit = probe_key(definability_probe(g, S2_0, 2))
     assert wit == oracle_definability(g, S2_0, 2)
     assert wit == (2, 1, {"worlds": 2, "rel": [[], [0]], "normals": [1], "val": {}})
@@ -434,36 +445,46 @@ def test_several_relations_by_all_masks():
 
 
 def test_one_relation_split_into_mask_groups():
-    assert chunk_geometry(4, 3, STAR) == (1, 8, 15)
-    assert chunk_geometry(4, 3, STAR, all_points=True) == (1, 8, 16)
-    # three normal successors with distinct valuations, none of them the
-    # world itself: the star with all four worlds normal, the last mask, in
-    # the second group
+    # 3 variables at n = 4: 64 uint64 words a frame and world.  At the default
+    # budget the 61 slots of the definability probe split the 16 masks in
+    # two; the 33 and 24 slots of the other two searches take all 15 at once,
+    # so the searches run at half the default budget, where each one splits.
     f = parse("~(r & p & q & dia (~r & p & q & box top) & dia (~r & p & ~q & box top) & dia (~r & ~p & box top))")
-    assert find_countermodel(f, STAR, 3) is None
-    key = countermodel_key(f, STAR, 4)
-    assert key == oracle_countermodel(f, STAR, 4, min_n=4)
-    assert key[:2] == (4, 3) and key[2]["rel"] == [[3], [3], [3], [0, 1, 2]] and key[2]["normals"] == [0, 1, 2, 3]
-    # the same successors, normal or not: the first mask of the first group
     conclusion = parse("~(r & dia (~r & p & q) & dia (~r & p & ~q) & dia (~r & ~p))")
     premises = [parse("p -> p")]
-    assert rule_probe_witness(premises, conclusion, STAR, 3) is None
-    wit = probe_key(rule_probe_witness(premises, conclusion, STAR, 4))
-    assert wit == oracle_rule(premises, conclusion, STAR, 4, min_n=4)
-    assert wit[2]["normals"] == [3]
-    # a normal world whose successors include a non-normal one: masks 0..15 in two groups of 8
     g = parse("r & ((~r & p & q & ~dia top) |> top) & ((~r & p & ~q) |> top) & ((~r & ~p) |> top)")
-    assert definability_probe(g, STAR, 3) is None
-    wit = probe_key(definability_probe(g, STAR, 4))
-    assert wit == oracle_definability(g, STAR, 4, min_n=4)
-    assert wit[2]["normals"] == [3]
+    assert chunk_geometry([f], 4, STAR) == (1, 15, 15)
+    assert chunk_geometry([g, desugar(g)], 4, STAR, all_points=True) == (1, 8, 16)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_CHUNK_BYTES", 1 << 19)
+        assert chunk_geometry([f], 4, STAR) == (1, 7, 15)
+        assert chunk_geometry([conclusion, *premises], 4, STAR) == (1, 10, 15)
+        assert chunk_geometry([g, desugar(g)], 4, STAR, all_points=True) == (1, 4, 16)
+        # three normal successors with distinct valuations, none of them the
+        # world itself: the star with all four worlds normal, the last mask,
+        # alone in the third group
+        assert find_countermodel(f, STAR, 3) is None
+        key = countermodel_key(f, STAR, 4)
+        assert key == oracle_countermodel(f, STAR, 4, min_n=4)
+        assert key[:2] == (4, 3) and key[2]["rel"] == [[3], [3], [3], [0, 1, 2]] and key[2]["normals"] == [0, 1, 2, 3]
+        # the same successors, normal or not: the first mask of the first group
+        assert rule_probe_witness(premises, conclusion, STAR, 3) is None
+        wit = probe_key(rule_probe_witness(premises, conclusion, STAR, 4))
+        assert wit == oracle_rule(premises, conclusion, STAR, 4, min_n=4)
+        assert wit[2]["normals"] == [3]
+        # a normal world whose successors include a non-normal one: mask 1 of
+        # 0..15, in the first of four groups
+        assert definability_probe(g, STAR, 3) is None
+        wit = probe_key(definability_probe(g, STAR, 4))
+        assert wit == oracle_definability(g, STAR, 4, min_n=4)
+        assert wit[2]["normals"] == [3]
 
 
 def test_one_frame_with_valuation_ranges():
     # 8 variables at n = 2: 2^16 valuations of each of the 3 masks, walked in
     # two ranges; the first relation is 0 <-> 1
-    assert chunk_geometry(2, 8, STAR) == (1, 1, 3)
     f = parse("(dia a & ~box box top) -> (b & c & d & e & f & g & h & bot)")
+    assert chunk_geometry([f], 2, STAR) == (1, 1, 3)
     key = countermodel_key(f, STAR, 2)
     assert key == oracle_countermodel(f, STAR, 2)
     assert key == (2, 1, {"worlds": 2, "rel": [[1], [0]], "normals": [1], "val": {"a": [0], **{x: [] for x in "bcdefgh"}}})
@@ -471,6 +492,35 @@ def test_one_frame_with_valuation_ranges():
     premises = [parse("h -> h")]
     assert probe_key(rule_probe_witness(premises, f, STAR, 2)) == oracle_rule(premises, f, STAR, 2) == key
     assert probe_key(definability_probe(f, STAR, 2)) == oracle_definability(f, STAR, 2)
+
+
+# The budget sets only how many frames a chunk holds, so the first witness
+# must not depend on it: the default budget against one so small that every
+# chunk holds one frame, where the hit decode has one relation and one mask
+# to choose from.  Besides the catalog, the formula of
+# `test_several_relations_by_all_masks`, whose first hit lies in the last
+# mask of one relation with a hit in the first mask of the next, so a chunk
+# decoded mask-major returns the wrong one.
+def assert_same_with_one_frame_chunks(f, other, fc, max_n):
+    keys = search_keys(f, other, fc, max_n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_CHUNK_BYTES", 1)
+        assert search_keys(f, other, fc, max_n) == keys
+
+
+@pytest.mark.parametrize("f, fc, max_n", [
+    *(pytest.param(e.formula, e.frame_class, e.bound, id=e.name) for e in CATALOG),
+    pytest.param(parse("box dia top & (box box top | box ~box top)"), S2_0, 2, id="first_hit_in_a_late_mask"),
+])
+def test_witness_does_not_depend_on_the_budget(f, fc, max_n):
+    assert_same_with_one_frame_chunks(f, Box(f), fc, max_n)
+
+
+@pytest.mark.parametrize("class_name", sorted(NAMED_CLASSES))
+@settings(max_examples=20)
+@given(formulas(max_leaves=4), formulas(max_leaves=3))
+def test_random_formulas_witness_does_not_depend_on_the_budget(class_name, f, other):
+    assert_same_with_one_frame_chunks(f, other, NAMED_CLASSES[class_name], 3)
 
 
 def test_frame_table_does_not_repeat_relations():
