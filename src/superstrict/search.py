@@ -76,10 +76,28 @@ therefore a representative, and the scan of representatives in canonical
 order meets it first; a padded copy hits only if the last entry, which
 comes before it, does.  The table is read where a frame has more than 64
 valuations, at most `_PAIRS` of them, and only if shorter than the scan.
+
+The scan also reads one relation per isomorphism class.  A permutation of
+the worlds maps a frame of a named class to a frame of the class, since
+every class condition is closed under isomorphism, and the class's set of
+normality masks to itself.  It maps a hit to a hit: a countermodel, a
+rule-probe witness or a definability witness, at the image world under the
+image valuation.  The frames that hit are therefore a union of orbits, and
+as canonical order is relation-major, the first of them has the least
+relation code of its orbit: a smaller image would carry a hit on an earlier
+frame.  So `_frame_blocks`, the search's table, keeps of the relations that
+meet the class conditions only those that `_orbit_least` finds no smaller
+than any of their images under the n! permutations, with every mask, and
+the scan meets the same first frame, valuation and world.  This is orderly
+generation (Read 1978, "Every one a winner"; McKay 1998, "Isomorph-free
+exhaustive generation").  At n = 4 it keeps 3,044 of the 65,536 relations
+of `s2_0`, 218 of the 4,096 of `s2` and 33 of the 355 of `s3`.
+`enumerate_frames` still yields every frame, from the full table.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -117,13 +135,51 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _frame_block(n: int, fc: FrameClass, all_points: bool, lo: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _relabellings(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n! permutations of the worlds, the identity first, as two tables:
+    `src[p, w]`, the world that permutation p sends to w, and `image[p, s]`,
+    the n-bit group, world 0 the top bit, of the image of successor mask s,
+    in the dtype of an n*n-bit relation code."""
+    perms = np.array(list(itertools.permutations(range(n))))  # perms[p, i]: where p sends i
+    bits = np.arange(1 << n)[:, None] >> np.arange(n) & 1
+    image = _reversal(n)[(bits[None] << perms[:, None]).sum(axis=2)]
+    return _frozen(np.argsort(perms, axis=1), image.astype(np.min_scalar_type((1 << n * n) - 1)))
+
+
+def _orbit_least(rows: np.ndarray) -> np.ndarray:
+    """Which relations, successor rows of shape (n, relations), have the
+    least code among their images under every permutation of the worlds.
+    Permutations are tried in batches of about `_CODES` images, each on the
+    relations that no earlier batch has beaten."""
+    n, count = rows.shape
+    src, image = _relabellings(n)
+    shift = (n * np.arange(n - 1, -1, -1)).astype(image.dtype)[:, None]
+
+    def codes(p: np.ndarray, r: np.ndarray) -> np.ndarray:  # (permutations, relations)
+        return (image[p[:, None, None], r[src[p]]] << shift).sum(axis=1, dtype=image.dtype)
+
+    code = codes(np.arange(1), rows)[0]
+    keep = np.arange(count)
+    p = 1
+    while p < len(src) and keep.size:
+        batch = np.arange(p, min(p + max(_CODES // keep.size, 1), len(src)))
+        keep = keep[(codes(batch, rows[:, keep]) >= code[keep]).all(axis=0)]
+        p += batch.size
+    least = np.zeros(count, dtype=bool)
+    least[keep] = True
+    return least
+
+
+def _frame_block(n: int, fc: FrameClass, all_points: bool, lo: int,
+                 least: Callable[[np.ndarray], np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
     """The frames of `fc` with relation codes in [lo, lo + _CODES), as two
     factors: the successor rows of the relations that meet the class
     conditions, shape (n, relations), and the class's normality masks, shape
     (masks,), both in canonical order.  Each relation pairs with every mask,
     relation first; the mask with no normal point, where no world can fail,
-    comes only with `all_points`."""
+    comes only with `all_points`.  A `least` test, if given, then keeps only
+    the relations it marks."""
     rows = _groups(np.arange(lo, min(lo + _CODES, 1 << n * n), dtype=np.uint64), n, n)
     ok = np.ones(rows[0].shape, dtype=bool)
     for w, rw in enumerate(rows):
@@ -143,18 +199,28 @@ def _frame_block(n: int, fc: FrameClass, all_points: bool, lo: int) -> tuple[np.
     normals = rev[-1:] if fc.all_normal else rev[0 if all_points else 1:]
     # row by row, so the table is C-ordered: `np.stack(rows)[:, ok]` is not,
     # and its strides slow every operation in `_run` that broadcasts
-    return _frozen(np.stack([rw[ok] for rw in rows]), normals)
+    table = np.stack([rw[ok] for rw in rows])
+    if least is not None and table.size:
+        table = table.compress(least(table), axis=1)
+    return _frozen(table, normals)
 
 
 _cached_block = lru_cache(maxsize=None)(_frame_block)
 
 
-def _frame_blocks(n: int, fc: FrameClass, all_points: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The frame table of `fc` at n, block by block, leaving out blocks with
-    no relation of the class; kept up to n = 4 (2^16 relations)."""
+def _blocks(n: int, fc: FrameClass, all_points: bool,
+            least: Callable[[np.ndarray], np.ndarray] | None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """`_frame_block`'s blocks of `fc` at n in order, leaving out blocks with
+    no relation; kept up to n = 4 (2^16 relation codes)."""
     block = _cached_block if n <= 4 else _frame_block
-    blocks = (block(n, fc, all_points, lo) for lo in range(0, 1 << n * n, _CODES))
+    blocks = (block(n, fc, all_points, lo, least) for lo in range(0, 1 << n * n, _CODES))
     return (b for b in blocks if b[0].size)
+
+
+def _frame_blocks(n: int, fc: FrameClass, all_points: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The search's frame table of `fc` at n: the relations least in their
+    isomorphism orbits (see the module docstring), by every mask."""
+    return _blocks(n, fc, all_points, _orbit_least)
 
 
 def _pack(n: int, masks: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -202,7 +268,7 @@ def enumerate_frames(n: int, fc: FrameClass) -> Iterator[Frame]:
     """Every frame on exactly n worlds satisfying `fc`, canonical order."""
     if n < 1:
         raise ValueError("frame size must be at least 1")
-    for rows, normals in _frame_blocks(n, fc, True):
+    for rows, normals in _blocks(n, fc, True, None):
         masks = normals.tolist()
         for rel in map(tuple, rows.T.tolist()):
             for nm in masks:
@@ -354,6 +420,8 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     bytes of the program's planes: all masks of `fstep // masks` relations
     when they fit, else one relation and `fstep` masks at a time, so the
     bits of the (relations, masks, words) planes lie in canonical order.
+    The relations are those of `_frame_blocks`, least in their orbits under
+    the permutations of the worlds (see the module docstring).
     The valuations are the codes 0..2^(k*n)-1, packed by `_planes` a range
     at a time, or, where the formulas' propositional types merge them, the
     `_table` planes of the smallest valuation of each class, a shorter list

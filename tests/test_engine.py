@@ -22,10 +22,12 @@ from superstrict import search
 from superstrict.catalog import CATALOG, CATALOG_BY_NAME
 from superstrict.search import (
     _PAIRS,
+    _blocks,
     _compile,
     _first_hit,
     _frame_blocks,
     _geometry,
+    _orbit_least,
     _planes,
     _representatives,
     _table,
@@ -104,8 +106,10 @@ def search_keys(f, other, fc, max_n):
 
 
 def plain_scan(mp):
-    """Make `_first_hit` scan every valuation code: no propositional types."""
+    """Make `_first_hit` scan every valuation code of every relation: no
+    propositional types and no orbit reduction."""
     mp.setattr(search, "_representatives", lambda *args: None)
+    mp.setattr(search, "_orbit_least", None)
 
 
 def assert_all_searches_agree(f, other, fc, max_n):
@@ -407,6 +411,11 @@ def test_ex_temporaries_stay_small():
 # frame alone when its valuations are walked in ranges.  The first witness
 # is the first (relation, mask, valuation) in that row-major order.
 STAR = FrameClass(serial=True, symmetric=True)  # the first relation at n = 4: 0, 1 and 2 see 3, 3 sees them
+# a countermodel, a rule probe (premises, conclusion) and a definability
+# probe whose first witnesses are stars at n = 4
+STAR_F = parse("~(r & p & q & dia (~r & p & q & box top) & dia (~r & p & ~q & box top) & dia (~r & ~p & box top))")
+STAR_RULE = [parse("p -> p")], parse("~(r & dia (~r & p & q) & dia (~r & p & ~q) & dia (~r & ~p))")
+STAR_G = parse("r & ((~r & p & q & ~dia top) |> top) & ((~r & p & ~q) |> top) & ((~r & ~p) |> top)")
 
 
 def chunk_geometry(fs, n, fc, all_points=False):
@@ -449,10 +458,7 @@ def test_one_relation_split_into_mask_groups():
     # budget the 61 slots of the definability probe split the 16 masks in
     # two; the 33 and 24 slots of the other two searches take all 15 at once,
     # so the searches run at half the default budget, where each one splits.
-    f = parse("~(r & p & q & dia (~r & p & q & box top) & dia (~r & p & ~q & box top) & dia (~r & ~p & box top))")
-    conclusion = parse("~(r & dia (~r & p & q) & dia (~r & p & ~q) & dia (~r & ~p))")
-    premises = [parse("p -> p")]
-    g = parse("r & ((~r & p & q & ~dia top) |> top) & ((~r & p & ~q) |> top) & ((~r & ~p) |> top)")
+    f, (premises, conclusion), g = STAR_F, STAR_RULE, STAR_G
     assert chunk_geometry([f], 4, STAR) == (1, 15, 15)
     assert chunk_geometry([g, desugar(g)], 4, STAR, all_points=True) == (1, 8, 16)
     with pytest.MonkeyPatch.context() as mp:
@@ -524,11 +530,91 @@ def test_random_formulas_witness_does_not_depend_on_the_budget(class_name, f, ot
 
 
 def test_frame_table_does_not_repeat_relations():
-    blocks = list(_frame_blocks(4, S2_0, False))
+    blocks = list(_blocks(4, S2_0, False, None))  # the full table, which `enumerate_frames` reads
     assert sum(rows.shape[1] for rows, _ in blocks) == 1 << 16
     assert all(sorted(normals.tolist()) == list(range(1, 16)) for _, normals in blocks)  # every nonempty set
     # 4,915,200 bytes when each relation was repeated once per mask
     assert sum(rows.nbytes + normals.nbytes for rows, normals in blocks) < 300_000
+    assert sum(rows.shape[1] for rows, _ in _frame_blocks(4, S2_0, False)) == 3044  # the search's table
+
+
+# The search reads only the relations whose code is least among their images
+# under the n! permutations of the worlds.  A permutation maps a frame of a
+# class to one of the class and a hit to a hit, so the first hit's relation
+# is least in its orbit, and the first witness must be the one the full
+# table gives.  That table is what `enumerate_frames` still reads.
+KEPT = {  # relations the search reads at n = 1..4: one per isomorphism class
+    "s2_0": (2, 10, 104, 3044), "k": (2, 10, 104, 3044),  # loop-digraphs
+    "s2": (1, 3, 16, 218), "kt": (1, 3, 16, 218),  # digraphs, a loop at each world
+    "s3": (1, 3, 9, 33), "s4": (1, 3, 9, 33),  # preorders
+}
+FRAMES = {  # frames `enumerate_frames` yields at n = 1..4: every relation by every mask
+    "s2_0": (4, 64, 4096, 1 << 20), "k": (2, 16, 512, 1 << 16),
+    "s2": (2, 16, 512, 1 << 16), "kt": (1, 4, 64, 4096),
+    "s3": (2, 16, 232, 5680), "s4": (1, 4, 29, 355),
+}
+
+
+@pytest.mark.parametrize("class_name", sorted(KEPT))
+def test_search_reads_one_relation_per_isomorphism_class(class_name):
+    fc = NAMED_CLASSES[class_name]
+    assert tuple(sum(rows.shape[1] for rows, _ in _frame_blocks(n, fc, False)) for n in range(1, 5)) == KEPT[class_name]
+    # the 2^20 frames of s2_0 at n = 4 take seconds to yield: count its table
+    assert tuple(sum(1 for _ in enumerate_frames(n, fc)) if count <= 1 << 16
+                 else sum(rows.shape[1] * normals.size for rows, normals in _blocks(n, fc, True, None))
+                 for n, count in enumerate(FRAMES[class_name], 1)) == FRAMES[class_name]
+
+
+def test_orbit_least_against_every_permutation():
+    for n in (1, 2, 3):
+        (rows, _), = _blocks(n, S2_0, False, None)
+        rels = [tuple(r) for r in rows.T.tolist()]
+
+        def code(rel):  # the canonical relation code, world 0's successor group the top bits
+            return sum((rel[i] >> j & 1) << (n * n - 1 - i * n - j) for i in range(n) for j in range(n))
+
+        def image(rel, perm):  # i sees j iff perm[i] sees perm[j] in the image
+            out = [0] * n
+            for i, j in itertools.product(range(n), repeat=2):
+                out[perm[i]] |= (rel[i] >> j & 1) << perm[j]
+            return tuple(out)
+
+        least = [all(code(image(rel, perm)) >= code(rel) for perm in itertools.permutations(range(n))) for rel in rels]
+        assert _orbit_least(rows).tolist() == least
+
+
+def assert_same_on_the_full_table(search_fn):
+    key = search_fn()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_orbit_least", None)
+        assert search_fn() == key
+    return key
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+def test_catalog_witness_does_not_depend_on_the_orbit_reduction(entry):
+    assert_same_on_the_full_table(partial(search_keys, entry.formula, Box(entry.formula), entry.frame_class, entry.bound))
+
+
+@pytest.mark.parametrize("class_name", sorted(NAMED_CLASSES))
+@settings(max_examples=20)
+@given(formulas(max_leaves=4), formulas(max_leaves=3))
+def test_random_formulas_witness_does_not_depend_on_the_orbit_reduction(class_name, f, other):
+    assert_same_on_the_full_table(partial(search_keys, f, other, NAMED_CLASSES[class_name], 3))
+
+
+def test_witnesses_at_four_worlds_do_not_depend_on_the_orbit_reduction():
+    premises, conclusion = STAR_RULE
+    assert assert_same_on_the_full_table(lambda: countermodel_key(STAR_F, STAR, 4))[:2] == (4, 3)
+    assert assert_same_on_the_full_table(lambda: probe_key(rule_probe_witness(premises, conclusion, STAR, 4)))[0] == 4
+    assert assert_same_on_the_full_table(lambda: probe_key(definability_probe(STAR_G, STAR, 4)))[0] == 4
+    # 7 relations of s2 come first at n = 4, and the search reads 3 of them
+    f = parse("(box q & p ||> ((q |> bot) => bot)) -> (p |> dia q | bot)")
+    assert find_countermodel(f, S2, 3) is None
+    first = (4, 3, {"worlds": 4, "rel": [[0], [1], [2], [0, 1, 2, 3]], "normals": [1, 2, 3], "val": {"p": [1, 2], "q": [2]}})
+    assert assert_same_on_the_full_table(lambda: countermodel_key(f, S2, 4)) == first
+    assert assert_same_on_the_full_table(lambda: probe_key(rule_probe_witness([parse("p -> p")], f, S2, 4))) == first
+    assert assert_same_on_the_full_table(lambda: probe_key(definability_probe(f, S2, 4))) == first
 
 
 # The word shapes, chunk geometries and memory bounds above are pinned for
