@@ -559,10 +559,11 @@ FRAMES = {  # frames `enumerate_frames` yields at n = 1..4: every relation by ev
 def test_search_reads_one_relation_per_isomorphism_class(class_name):
     fc = NAMED_CLASSES[class_name]
     assert tuple(sum(rows.shape[1] for rows, _ in _frame_blocks(n, fc, False)) for n in range(1, 5)) == KEPT[class_name]
-    # the 2^20 frames of s2_0 at n = 4 take seconds to yield: count its table
-    assert tuple(sum(1 for _ in enumerate_frames(n, fc)) if count <= 1 << 16
-                 else sum(rows.shape[1] * normals.size for rows, normals in _blocks(n, fc, True, None))
-                 for n, count in enumerate(FRAMES[class_name], 1)) == FRAMES[class_name]
+    for n, count in enumerate(FRAMES[class_name], 1):
+        if count <= 1 << 16:
+            assert sum(1 for _ in enumerate_frames(n, fc)) == count
+        else:  # the 2^20 frames of s2_0 at n = 4 take seconds to yield: count the table they come from
+            assert sum(rows.shape[1] * normals.size for rows, normals in _blocks(n, fc, True, None)) == count
 
 
 def test_orbit_least_against_every_permutation():
@@ -608,7 +609,7 @@ def test_witnesses_at_four_worlds_do_not_depend_on_the_orbit_reduction():
     assert assert_same_on_the_full_table(lambda: countermodel_key(STAR_F, STAR, 4))[:2] == (4, 3)
     assert assert_same_on_the_full_table(lambda: probe_key(rule_probe_witness(premises, conclusion, STAR, 4)))[0] == 4
     assert assert_same_on_the_full_table(lambda: probe_key(definability_probe(STAR_G, STAR, 4)))[0] == 4
-    # 7 relations of s2 come first at n = 4, and the search reads 3 of them
+    # 7 relations of s2 come before the witness's at n = 4, and the search reads 3 of them
     f = parse("(box q & p ||> ((q |> bot) => bot)) -> (p |> dia q | bot)")
     assert find_countermodel(f, S2, 3) is None
     first = (4, 3, {"worlds": 4, "rel": [[0], [1], [2], [0, 1, 2, 3]], "normals": [1, 2, 3], "val": {"p": [1, 2], "q": [2]}})
