@@ -148,8 +148,9 @@ def _relabellings(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _orbit_least(rows: np.ndarray) -> np.ndarray:
-    """Which relations, successor rows of shape (n, relations), have the
-    least code among their images under every permutation of the worlds.
+    """The columns, ascending, of the relations in successor rows of shape
+    (n, relations) whose code is least among their images under every
+    permutation of the worlds.
     Permutations are tried in batches of about `_CODES` images, each on the
     relations that no earlier batch has beaten."""
     n, count = rows.shape
@@ -166,9 +167,7 @@ def _orbit_least(rows: np.ndarray) -> np.ndarray:
         batch = np.arange(p, min(p + max(_CODES // keep.size, 1), len(src)))
         keep = keep[(codes(batch, rows[:, keep]) >= code[keep]).all(axis=0)]
         p += batch.size
-    least = np.zeros(count, dtype=bool)
-    least[keep] = True
-    return least
+    return keep
 
 
 def _frame_block(n: int, fc: FrameClass, all_points: bool, lo: int,
@@ -179,7 +178,7 @@ def _frame_block(n: int, fc: FrameClass, all_points: bool, lo: int,
     (masks,), both in canonical order.  Each relation pairs with every mask,
     relation first; the mask with no normal point, where no world can fail,
     comes only with `all_points`.  A `least` test, if given, then keeps only
-    the relations it marks."""
+    the relations at the columns it returns."""
     rows = _groups(np.arange(lo, min(lo + _CODES, 1 << n * n), dtype=np.uint64), n, n)
     ok = np.ones(rows[0].shape, dtype=bool)
     for w, rw in enumerate(rows):
@@ -201,7 +200,7 @@ def _frame_block(n: int, fc: FrameClass, all_points: bool, lo: int,
     # and its strides slow every operation in `_run` that broadcasts
     table = np.stack([rw[ok] for rw in rows])
     if least is not None and table.size:
-        table = table.compress(least(table), axis=1)
+        table = table.take(least(table), axis=1)
     return _frozen(table, normals)
 
 

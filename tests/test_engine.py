@@ -580,7 +580,8 @@ def test_orbit_least_against_every_permutation():
                 out[perm[i]] |= (rel[i] >> j & 1) << perm[j]
             return tuple(out)
 
-        least = [all(code(image(rel, perm)) >= code(rel) for perm in itertools.permutations(range(n))) for rel in rels]
+        least = [i for i, rel in enumerate(rels)
+                 if all(code(image(rel, perm)) >= code(rel) for perm in itertools.permutations(range(n)))]
         assert _orbit_least(rows).tolist() == least
 
 
