@@ -85,14 +85,16 @@ rule-probe witness or a definability witness, at the image world under the
 image valuation.  The frames that hit are therefore a union of orbits, and
 as canonical order is relation-major, the first of them has the least
 relation code of its orbit: a smaller image would carry a hit on an earlier
-frame.  So `_frame_blocks`, the search's table, keeps of the relations that
+frame.  So `_frame_table`, the search's table, keeps of the relations that
 meet the class conditions only those that `_orbit_least` finds no smaller
 than any of their images under the n! permutations, with every mask, and
-the scan meets the same first frame, valuation and world.  This is orderly
+the scan meets the same first frame, valuation and world.  It is built once
+per (n, class, all_points) and kept for every n.  This is orderly
 generation (Read 1978, "Every one a winner"; McKay 1998, "Isomorph-free
 exhaustive generation").  At n = 4 it keeps 3,044 of the 65,536 relations
 of `s2_0`, 218 of the 4,096 of `s2` and 33 of the 355 of `s3`.
-`enumerate_frames` still yields every frame, from the full table.
+`enumerate_frames` still yields every frame, decoding the relation codes
+`_CODES` at a time as it yields.
 """
 
 from __future__ import annotations
@@ -170,15 +172,13 @@ def _orbit_least(rows: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _frame_block(n: int, fc: FrameClass, all_points: bool, lo: int,
-                 least: Callable[[np.ndarray], np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
+def _frame_block(n: int, fc: FrameClass, all_points: bool, lo: int) -> tuple[np.ndarray, np.ndarray]:
     """The frames of `fc` with relation codes in [lo, lo + _CODES), as two
     factors: the successor rows of the relations that meet the class
     conditions, shape (n, relations), and the class's normality masks, shape
     (masks,), both in canonical order.  Each relation pairs with every mask,
     relation first; the mask with no normal point, where no world can fail,
-    comes only with `all_points`.  A `least` test, if given, then keeps only
-    the relations at the columns it returns."""
+    comes only with `all_points`."""
     rows = _groups(np.arange(lo, min(lo + _CODES, 1 << n * n), dtype=np.uint64), n, n)
     ok = np.ones(rows[0].shape, dtype=bool)
     for w, rw in enumerate(rows):
@@ -198,28 +198,23 @@ def _frame_block(n: int, fc: FrameClass, all_points: bool, lo: int,
     normals = rev[-1:] if fc.all_normal else rev[0 if all_points else 1:]
     # row by row, so the table is C-ordered: `np.stack(rows)[:, ok]` is not,
     # and its strides slow every operation in `_run` that broadcasts
-    table = np.stack([rw[ok] for rw in rows])
-    if least is not None and table.size:
-        table = table.take(least(table), axis=1)
-    return _frozen(table, normals)
+    return np.stack([rw[ok] for rw in rows]), normals
 
 
-_cached_block = lru_cache(maxsize=None)(_frame_block)
-
-
-def _blocks(n: int, fc: FrameClass, all_points: bool,
-            least: Callable[[np.ndarray], np.ndarray] | None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """`_frame_block`'s blocks of `fc` at n in order, leaving out blocks with
-    no relation; kept up to n = 4 (2^16 relation codes)."""
-    block = _cached_block if n <= 4 else _frame_block
-    blocks = (block(n, fc, all_points, lo, least) for lo in range(0, 1 << n * n, _CODES))
-    return (b for b in blocks if b[0].size)
-
-
-def _frame_blocks(n: int, fc: FrameClass, all_points: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The search's frame table of `fc` at n: the relations least in their
-    isomorphism orbits (see the module docstring), by every mask."""
-    return _blocks(n, fc, all_points, _orbit_least)
+@lru_cache(maxsize=None)
+def _frame_table(n: int, fc: FrameClass, all_points: bool,
+                 least: Callable[[np.ndarray], np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
+    """The frames of `fc` at n, `_frame_block`'s blocks joined in order into
+    one pair of factors.  A `least` test, if given, keeps of each nonempty
+    block only the relations at the columns it returns: `_orbit_least`
+    gives the search's table (see the module docstring), None the full one."""
+    kept = []
+    for lo in range(0, 1 << n * n, _CODES):
+        rows, normals = _frame_block(n, fc, all_points, lo)
+        if least is not None and rows.size:
+            rows = rows.take(least(rows), axis=1)
+        kept.append(rows)
+    return _frozen(np.concatenate(kept, axis=1), normals)
 
 
 def _pack(n: int, masks: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -267,7 +262,8 @@ def enumerate_frames(n: int, fc: FrameClass) -> Iterator[Frame]:
     """Every frame on exactly n worlds satisfying `fc`, canonical order."""
     if n < 1:
         raise ValueError("frame size must be at least 1")
-    for rows, normals in _blocks(n, fc, True, None):
+    for lo in range(0, 1 << n * n, _CODES):  # decoded as yielded, so the first frame comes at once
+        rows, normals = _frame_block(n, fc, True, lo)
         masks = normals.tolist()
         for rel in map(tuple, rows.T.tolist()):
             for nm in masks:
@@ -419,8 +415,9 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     bytes of the program's planes: all masks of `fstep // masks` relations
     when they fit, else one relation and `fstep` masks at a time, so the
     bits of the (relations, masks, words) planes lie in canonical order.
-    The relations are those of `_frame_blocks`, least in their orbits under
-    the permutations of the worlds (see the module docstring).
+    The relations are those of the cached `_frame_table`, read once per n,
+    least in their orbits under the permutations of the worlds (see the
+    module docstring).
     The valuations are the codes 0..2^(k*n)-1, packed by `_planes` a range
     at a time, or, where the formulas' propositional types merge them, the
     `_table` planes of the smallest valuation of each class, a shorter list
@@ -441,34 +438,34 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
         vstep, fstep, used, word = _geometry(len(program), n, nvals)
         words = vstep // used
         full = word.type((1 << used) - 1)
-        for rows, normals in _frame_blocks(n, fc, all_points):
-            bit = np.arange(n, dtype=rows.dtype)[:, None]
-            gstep = min(fstep, normals.size)
-            rstep = fstep // gstep
-            norms = np.multiply(normals >> bit & 1, full, dtype=word)[:, None, :, None]
-            for r0 in range(0, rows.shape[1], rstep):
-                fr = rows[:, r0:r0 + rstep]
-                succ = np.multiply(fr[:, None] >> bit & 1, full, dtype=word)[..., None, None]
-                for g0 in range(0, normals.size, gstep):
-                    norm = norms[:, :, g0:g0 + gstep]
-                    for lo in range(0, nvals, vstep):
-                        planes = _planes(n, k, lo, lo + vstep) if table is None else table[0]
-                        vals = _run(program, (full ^ full, norm, *(p[:, None] for p in planes)), succ, full)
-                        mask = hit(norm, *(vals[r] for r in roots))
-                        if mask.any():
-                            mask = np.broadcast_to(mask, (n, fr.shape[1], norm.shape[2], words))
-                            pairs = np.bitwise_or.reduce(mask, axis=0)
-                            i, m, t = map(int, np.unravel_index(np.flatnonzero(pairs)[0], pairs.shape))
-                            bits = int(pairs[i, m, t])
-                            j = (bits & -bits).bit_length() - 1
-                            world = int(np.flatnonzero(mask[:, i, m, t] >> j & 1)[0])
-                            frame = Frame(n, tuple(int(r) for r in fr[:, i]), int(normals[g0 + m]))
-                            model = Model(frame, {x: sum((b >> j & 1) << w for w, b in enumerate(p[:, 0, t].tolist()))
-                                                  for x, p in zip(names, planes)})
-                            if (not satisfies_class(frame, fc)
-                                    or not hit(frame.normals, *(extension(model, f) for f in formulas)) >> world & 1):
-                                raise RuntimeError("search witness failed re-verification")
-                            return model, world
+        rows, normals = _frame_table(n, fc, all_points, _orbit_least)
+        bit = np.arange(n, dtype=rows.dtype)[:, None]
+        gstep = min(fstep, normals.size)
+        rstep = fstep // gstep
+        norms = np.multiply(normals >> bit & 1, full, dtype=word)[:, None, :, None]
+        for r0 in range(0, rows.shape[1], rstep):
+            fr = rows[:, r0:r0 + rstep]
+            succ = np.multiply(fr[:, None] >> bit & 1, full, dtype=word)[..., None, None]
+            for g0 in range(0, normals.size, gstep):
+                norm = norms[:, :, g0:g0 + gstep]
+                for lo in range(0, nvals, vstep):
+                    planes = _planes(n, k, lo, lo + vstep) if table is None else table[0]
+                    vals = _run(program, (full ^ full, norm, *(p[:, None] for p in planes)), succ, full)
+                    mask = hit(norm, *(vals[r] for r in roots))
+                    if mask.any():
+                        mask = np.broadcast_to(mask, (n, fr.shape[1], norm.shape[2], words))
+                        pairs = np.bitwise_or.reduce(mask, axis=0)
+                        i, m, t = map(int, np.unravel_index(np.flatnonzero(pairs)[0], pairs.shape))
+                        bits = int(pairs[i, m, t])
+                        j = (bits & -bits).bit_length() - 1
+                        world = int(np.flatnonzero(mask[:, i, m, t] >> j & 1)[0])
+                        frame = Frame(n, tuple(int(r) for r in fr[:, i]), int(normals[g0 + m]))
+                        model = Model(frame, {x: sum((b >> j & 1) << w for w, b in enumerate(p[:, 0, t].tolist()))
+                                              for x, p in zip(names, planes)})
+                        if (not satisfies_class(frame, fc)
+                                or not hit(frame.normals, *(extension(model, f) for f in formulas)) >> world & 1):
+                            raise RuntimeError("search witness failed re-verification")
+                        return model, world
     return None
 
 

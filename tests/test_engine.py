@@ -22,10 +22,9 @@ from superstrict import search
 from superstrict.catalog import CATALOG, CATALOG_BY_NAME
 from superstrict.search import (
     _PAIRS,
-    _blocks,
     _compile,
     _first_hit,
-    _frame_blocks,
+    _frame_table,
     _geometry,
     _orbit_least,
     _planes,
@@ -36,7 +35,7 @@ from superstrict.search import (
     find_countermodel,
     rule_probe_witness,
 )
-from superstrict.semantics import NAMED_CLASSES, S2, S2_0, S3, FrameClass, frame_to_json, model_to_json
+from superstrict.semantics import NAMED_CLASSES, S2, S2_0, S3, Frame, FrameClass, frame_to_json, model_to_json
 from superstrict.syntax import And, Box, Or, Var, desugar, parse, variables
 
 from oracles import eval_json, extensions, naive_frames
@@ -422,7 +421,7 @@ def chunk_geometry(fs, n, fc, all_points=False):
     """(relations, masks) a chunk holds on the plain scan of the formulas
     `fs` at n worlds, and the class's masks."""
     program, _, names = _compile(fs)
-    masks = next(_frame_blocks(n, fc, all_points))[1].size
+    masks = _frame_table(n, fc, all_points, _orbit_least)[1].size
     fstep = _geometry(len(program), n, 1 << len(names) * n)[1]
     gstep = min(fstep, masks)
     return fstep // gstep, gstep, masks
@@ -530,23 +529,55 @@ def test_random_formulas_witness_does_not_depend_on_the_budget(class_name, f, ot
 
 
 def test_frame_table_does_not_repeat_relations():
-    blocks = list(_blocks(4, S2_0, False, None))  # the full table, which `enumerate_frames` reads
-    assert sum(rows.shape[1] for rows, _ in blocks) == 1 << 16
-    assert all(sorted(normals.tolist()) == list(range(1, 16)) for _, normals in blocks)  # every nonempty set
+    rows, normals = _frame_table(4, S2_0, False, None)  # the full table, every relation of the class
+    assert rows.shape[1] == 1 << 16
+    assert sorted(normals.tolist()) == list(range(1, 16))  # every nonempty set
     # 4,915,200 bytes when each relation was repeated once per mask
-    assert sum(rows.nbytes + normals.nbytes for rows, normals in blocks) < 300_000
-    assert sum(rows.shape[1] for rows, _ in _frame_blocks(4, S2_0, False)) == 3044  # the search's table
+    assert rows.nbytes + normals.nbytes < 300_000
+    assert _frame_table(4, S2_0, False, _orbit_least)[0].shape[1] == 3044  # the search's table
+
+
+def test_frame_table_is_built_once_per_size_and_class():
+    fc = FrameClass(serial=True, euclidean=True)  # a class whose tables no other test builds
+    decoded = []
+    block = search._frame_block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_frame_block", lambda *args: decoded.append(args) or block(*args))
+        assert find_countermodel(parse("p -> p"), fc, 3) is None
+        assert decoded == [(n, fc, False, 0) for n in (1, 2, 3)]  # one block of codes a size
+        assert rule_probe_witness([parse("p")], parse("p"), fc, 3) is None
+    assert len(decoded) == 3  # the second search decodes no block
+
+
+def test_enumerate_frames_decodes_as_it_yields():
+    block = search._frame_block
+
+    def first_block_only(n, fc, all_points, lo):  # a table built up front fails here, not out of memory
+        assert lo == 0
+        return block(n, fc, all_points, lo)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_frame_block", first_block_only)
+        tracemalloc.start()
+        try:
+            first = next(enumerate_frames(5, S2_0))  # of 2^30 frames, from 2^25 relation codes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert first == Frame(5, (0,) * 5, 0)
+    assert peak < 8 << 20  # one block of codes: the relations alone take 160 MiB
 
 
 # The search reads only the relations whose code is least among their images
 # under the n! permutations of the worlds.  A permutation maps a frame of a
 # class to one of the class and a hit to a hit, so the first hit's relation
 # is least in its orbit, and the first witness must be the one the full
-# table gives.  That table is what `enumerate_frames` still reads.
-KEPT = {  # relations the search reads at n = 1..4: one per isomorphism class
+# table gives, whose frames `enumerate_frames` still yields.
+KEPT = {  # relations the search reads at n = 1, 2, ...: one per isomorphism class
     "s2_0": (2, 10, 104, 3044), "k": (2, 10, 104, 3044),  # loop-digraphs
     "s2": (1, 3, 16, 218), "kt": (1, 3, 16, 218),  # digraphs, a loop at each world
-    "s3": (1, 3, 9, 33), "s4": (1, 3, 9, 33),  # preorders
+    # preorders; at n = 5 the table joins the kept columns of 2,048 code blocks
+    "s3": (1, 3, 9, 33, 139), "s4": (1, 3, 9, 33, 139),
 }
 FRAMES = {  # frames `enumerate_frames` yields at n = 1..4: every relation by every mask
     "s2_0": (4, 64, 4096, 1 << 20), "k": (2, 16, 512, 1 << 16),
@@ -558,17 +589,19 @@ FRAMES = {  # frames `enumerate_frames` yields at n = 1..4: every relation by ev
 @pytest.mark.parametrize("class_name", sorted(KEPT))
 def test_search_reads_one_relation_per_isomorphism_class(class_name):
     fc = NAMED_CLASSES[class_name]
-    assert tuple(sum(rows.shape[1] for rows, _ in _frame_blocks(n, fc, False)) for n in range(1, 5)) == KEPT[class_name]
+    kept = KEPT[class_name]
+    assert tuple(_frame_table(n, fc, False, _orbit_least)[0].shape[1] for n in range(1, len(kept) + 1)) == kept
     for n, count in enumerate(FRAMES[class_name], 1):
         if count <= 1 << 16:
             assert sum(1 for _ in enumerate_frames(n, fc)) == count
         else:  # the 2^20 frames of s2_0 at n = 4 take seconds to yield: count the table they come from
-            assert sum(rows.shape[1] * normals.size for rows, normals in _blocks(n, fc, True, None)) == count
+            rows, normals = _frame_table(n, fc, True, None)
+            assert rows.shape[1] * normals.size == count
 
 
 def test_orbit_least_against_every_permutation():
     for n in (1, 2, 3):
-        (rows, _), = _blocks(n, S2_0, False, None)
+        rows, _ = _frame_table(n, S2_0, False, None)
         rels = [tuple(r) for r in rows.T.tolist()]
 
         def code(rel):  # the canonical relation code, world 0's successor group the top bits

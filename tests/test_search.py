@@ -245,8 +245,8 @@ class TestWitnessReverification:
 
     def test_frame_outside_the_class(self, monkeypatch):
         # the scan reads the S2_0 table whatever class it was asked for
-        blocks = search._frame_blocks
-        monkeypatch.setattr(search, "_frame_blocks", lambda n, fc, all_points: blocks(n, S2_0, all_points))
+        table = search._frame_table
+        monkeypatch.setattr(search, "_frame_table", lambda n, fc, all_points, least: table(n, S2_0, all_points, least))
         with pytest.raises(RuntimeError, match="re-verification"):
             find_countermodel(parse("(p |> q) & p -> q"), S2, 2)
         with pytest.raises(RuntimeError, match="re-verification"):
