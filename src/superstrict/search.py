@@ -17,10 +17,10 @@ shared subformula DAG, built from conjunction, disjunction, material
 implication, "some successor is in" and the set of normal points.  For each
 n the frames of the class form a table of two factors, as in Kripke's
 semantics for non-normal logics, where a frame is a relation plus a set of
-normal worlds: the relation codes that meet the class conditions, and the
-class's normality masks.  Frame (relation i, mask m) comes before every
-frame of a later relation, so canonical order is the row-major order of
-(relations, masks).  The program runs on chunks of `rstep` relations x
+normal worlds: the relation codes that meet the class's relational
+conditions, `_frame_table`, and its normality masks, `_normals`.  Frame
+(relation i, mask m) comes before every frame of a later relation, so
+canonical order is the row-major order of (relations, masks).  The program runs on chunks of `rstep` relations x
 `gstep` consecutive masks x a range of `vstep` valuation codes, sized by
 their working set: as many frames as keep every slot's bit planes within
 `_CHUNK_BYTES`, all masks of several relations when they fit, else one
@@ -87,12 +87,13 @@ as canonical order is relation-major, the first of them has the least
 relation code of its orbit: a smaller image would carry a hit on an earlier
 frame.  So `_frame_table`, the search's table, keeps of the relations that
 meet the class conditions only those that `_orbit_least` finds no smaller
-than any of their images under the n! permutations, with every mask, and
-the scan meets the same first frame, valuation and world.  It is built once
-per (n, class, all_points) and kept for every n.  This is orderly
-generation (Read 1978, "Every one a winner"; McKay 1998, "Isomorph-free
-exhaustive generation").  At n = 4 it keeps 3,044 of the 65,536 relations
-of `s2_0`, 218 of the 4,096 of `s2` and 33 of the 355 of `s3`.
+than any of their images under the n! permutations, each with every mask,
+and the scan meets the same first frame, valuation and world.  It is built
+once per n and relational conditions, the class without `all_normal`, and
+kept for every n.  This is orderly generation (Read 1978, "Every one a
+winner"; McKay 1998, "Isomorph-free exhaustive generation").  At n = 4 it
+keeps 3,044 of the 65,536 relations of `s2_0`, 218 of the 4,096 of `s2`
+and 33 of the 355 of `s3`.
 `enumerate_frames` still yields every frame, decoding the relation codes
 `_CODES` at a time as it yields.
 """
@@ -100,7 +101,7 @@ of `s2_0`, 218 of the 4,096 of `s2` and 33 of the 355 of `s3`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -172,13 +173,10 @@ def _orbit_least(rows: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _frame_block(n: int, fc: FrameClass, all_points: bool, lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """The frames of `fc` with relation codes in [lo, lo + _CODES), as two
-    factors: the successor rows of the relations that meet the class
-    conditions, shape (n, relations), and the class's normality masks, shape
-    (masks,), both in canonical order.  Each relation pairs with every mask,
-    relation first; the mask with no normal point, where no world can fail,
-    comes only with `all_points`."""
+def _frame_block(n: int, fc: FrameClass, lo: int) -> np.ndarray:
+    """The successor rows, shape (n, relations), of the relation codes in
+    [lo, lo + _CODES) that meet the relational conditions of `fc`, in
+    canonical order."""
     rows = _groups(np.arange(lo, min(lo + _CODES, 1 << n * n), dtype=np.uint64), n, n)
     ok = np.ones(rows[0].shape, dtype=bool)
     for w, rw in enumerate(rows):
@@ -194,27 +192,28 @@ def _frame_block(n: int, fc: FrameClass, all_points: bool, lo: int) -> tuple[np.
                 ok &= ~edge | (rv & ~rw == 0)
             if fc.euclidean:
                 ok &= ~edge | (rw & ~rv == 0)
-    rev = _reversal(n)
-    normals = rev[-1:] if fc.all_normal else rev[0 if all_points else 1:]
     # row by row, so the table is C-ordered: `np.stack(rows)[:, ok]` is not,
     # and its strides slow every operation in `_run` that broadcasts
-    return np.stack([rw[ok] for rw in rows]), normals
+    return np.stack([rw[ok] for rw in rows])
 
 
 @lru_cache(maxsize=None)
-def _frame_table(n: int, fc: FrameClass, all_points: bool,
-                 least: Callable[[np.ndarray], np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
-    """The frames of `fc` at n, `_frame_block`'s blocks joined in order into
-    one pair of factors.  A `least` test, if given, keeps of each nonempty
-    block only the relations at the columns it returns: `_orbit_least`
-    gives the search's table (see the module docstring), None the full one."""
-    kept = []
-    for lo in range(0, 1 << n * n, _CODES):
-        rows, normals = _frame_block(n, fc, all_points, lo)
-        if least is not None and rows.size:
-            rows = rows.take(least(rows), axis=1)
-        kept.append(rows)
-    return _frozen(np.concatenate(kept, axis=1), normals)
+def _frame_table(n: int, fc: FrameClass, least: Callable[[np.ndarray], np.ndarray] | None) -> np.ndarray:
+    """The successor rows of `fc`'s relations at n, `_frame_block`'s blocks
+    joined in order.  A `least` test, if given, keeps of each nonempty block
+    only the relations at the columns it returns: `_orbit_least` gives the
+    search's table (see the module docstring), None the full one."""
+    blocks = (_frame_block(n, fc, lo) for lo in range(0, 1 << n * n, _CODES))
+    kept = [rows.take(least(rows), axis=1) if least and rows.size else rows for rows in blocks]
+    return _frozen(np.concatenate(kept, axis=1))[0]
+
+
+def _normals(n: int, fc: FrameClass, all_points: bool) -> np.ndarray:
+    """`fc`'s normality masks at n in canonical order: all worlds under
+    `all_normal`, else every set, the empty one, where no world can fail,
+    only with `all_points`."""
+    rev = _reversal(n)
+    return rev[-1:] if fc.all_normal else rev[0 if all_points else 1:]
 
 
 def _pack(n: int, masks: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -262,10 +261,9 @@ def enumerate_frames(n: int, fc: FrameClass) -> Iterator[Frame]:
     """Every frame on exactly n worlds satisfying `fc`, canonical order."""
     if n < 1:
         raise ValueError("frame size must be at least 1")
+    masks = _normals(n, fc, True).tolist()
     for lo in range(0, 1 << n * n, _CODES):  # decoded as yielded, so the first frame comes at once
-        rows, normals = _frame_block(n, fc, True, lo)
-        masks = normals.tolist()
-        for rel in map(tuple, rows.T.tolist()):
+        for rel in map(tuple, _frame_block(n, fc, lo).T.tolist()):
             for nm in masks:
                 yield Frame(n, rel, nm)
 
@@ -415,9 +413,9 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     bytes of the program's planes: all masks of `fstep // masks` relations
     when they fit, else one relation and `fstep` masks at a time, so the
     bits of the (relations, masks, words) planes lie in canonical order.
-    The relations are those of the cached `_frame_table`, read once per n,
-    least in their orbits under the permutations of the worlds (see the
-    module docstring).
+    The relations are the cached `_frame_table` of the class's relational
+    conditions, read once per n, least in their orbits under the
+    permutations of the worlds (see the module docstring).
     The valuations are the codes 0..2^(k*n)-1, packed by `_planes` a range
     at a time, or, where the formulas' propositional types merge them, the
     `_table` planes of the smallest valuation of each class, a shorter list
@@ -430,6 +428,7 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     program, roots, names = _compile(formulas)
     k = len(names)
     types = cache(lambda: _representatives(program, roots, k))
+    relational = replace(fc, all_normal=False)  # the key of the relations' table
     for n in range(1, max_n + 1):
         # up to 64 valuations a frame fill one word, and a shorter table saves no word operation
         reps = types() if k * n > 6 else None
@@ -438,7 +437,7 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
         vstep, fstep, used, word = _geometry(len(program), n, nvals)
         words = vstep // used
         full = word.type((1 << used) - 1)
-        rows, normals = _frame_table(n, fc, all_points, _orbit_least)
+        rows, normals = _frame_table(n, relational, _orbit_least), _normals(n, fc, all_points)
         bit = np.arange(n, dtype=rows.dtype)[:, None]
         gstep = min(fstep, normals.size)
         rstep = fstep // gstep

@@ -11,8 +11,8 @@ returns.
 
 import itertools
 import tracemalloc
-from dataclasses import asdict
-from functools import cache, partial
+from dataclasses import asdict, replace
+from functools import cache, lru_cache, partial
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from superstrict.search import (
     _first_hit,
     _frame_table,
     _geometry,
+    _normals,
     _orbit_least,
     _planes,
     _representatives,
@@ -421,7 +422,7 @@ def chunk_geometry(fs, n, fc, all_points=False):
     """(relations, masks) a chunk holds on the plain scan of the formulas
     `fs` at n worlds, and the class's masks."""
     program, _, names = _compile(fs)
-    masks = _frame_table(n, fc, all_points, _orbit_least)[1].size
+    masks = _normals(n, fc, all_points).size
     fstep = _geometry(len(program), n, 1 << len(names) * n)[1]
     gstep = min(fstep, masks)
     return fstep // gstep, gstep, masks
@@ -529,32 +530,43 @@ def test_random_formulas_witness_does_not_depend_on_the_budget(class_name, f, ot
 
 
 def test_frame_table_does_not_repeat_relations():
-    rows, normals = _frame_table(4, S2_0, False, None)  # the full table, every relation of the class
+    rows, normals = _frame_table(4, S2_0, None), _normals(4, S2_0, False)  # the full table, every relation of the class
     assert rows.shape[1] == 1 << 16
     assert sorted(normals.tolist()) == list(range(1, 16))  # every nonempty set
     # 4,915,200 bytes when each relation was repeated once per mask
     assert rows.nbytes + normals.nbytes < 300_000
-    assert _frame_table(4, S2_0, False, _orbit_least)[0].shape[1] == 3044  # the search's table
+    assert _frame_table(4, S2_0, _orbit_least).shape[1] == 3044  # the search's table
 
 
 def test_frame_table_is_built_once_per_size_and_class():
-    fc = FrameClass(serial=True, euclidean=True)  # a class whose tables no other test builds
+    # the relations depend on the class without `all_normal`, so classes that differ only
+    # in their normal worlds share them, and every search over either reads the same table
+    fc = FrameClass(serial=True, euclidean=True)
+    pairs = [(fc, replace(fc, all_normal=True)), (S2, NAMED_CLASSES["kt"]), (S3, NAMED_CLASSES["s4"])]
     decoded = []
     block = search._frame_block
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_frame_block", lambda *args: decoded.append(args) or block(*args))
-        assert find_countermodel(parse("p -> p"), fc, 3) is None
-        assert decoded == [(n, fc, False, 0) for n in (1, 2, 3)]  # one block of codes a size
-        assert rule_probe_witness([parse("p")], parse("p"), fc, 3) is None
-    assert len(decoded) == 3  # the second search decodes no block
+        mp.setattr(search, "_frame_table", lru_cache(maxsize=None)(search._frame_table.__wrapped__))  # empty
+        for relational, normal in pairs:
+            decoded.clear()
+            assert find_countermodel(parse("p -> p"), relational, 3) is None
+            assert decoded == [(n, relational, 0) for n in (1, 2, 3)]  # one block of codes a size
+            assert rule_probe_witness([parse("p")], parse("p"), relational, 3) is None
+            assert find_countermodel(parse("p -> p"), normal, 3) is None
+            assert rule_probe_witness([parse("p")], parse("p"), normal, 3) is None
+            assert definability_probe(parse("p ||> q"), normal, 3) is None
+            assert definability_probe(parse("p ||> q"), relational, 3) is None
+            assert len(decoded) == 3  # no later search decodes a block
+        assert search._frame_table.cache_info().currsize == 9  # three sizes of three relational conditions
 
 
 def test_enumerate_frames_decodes_as_it_yields():
     block = search._frame_block
 
-    def first_block_only(n, fc, all_points, lo):  # a table built up front fails here, not out of memory
+    def first_block_only(n, fc, lo):  # a table built up front fails here, not out of memory
         assert lo == 0
-        return block(n, fc, all_points, lo)
+        return block(n, fc, lo)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_frame_block", first_block_only)
@@ -590,18 +602,18 @@ FRAMES = {  # frames `enumerate_frames` yields at n = 1..4: every relation by ev
 def test_search_reads_one_relation_per_isomorphism_class(class_name):
     fc = NAMED_CLASSES[class_name]
     kept = KEPT[class_name]
-    assert tuple(_frame_table(n, fc, False, _orbit_least)[0].shape[1] for n in range(1, len(kept) + 1)) == kept
+    relational = replace(fc, all_normal=False)  # the search's key
+    assert tuple(_frame_table(n, relational, _orbit_least).shape[1] for n in range(1, len(kept) + 1)) == kept
     for n, count in enumerate(FRAMES[class_name], 1):
         if count <= 1 << 16:
             assert sum(1 for _ in enumerate_frames(n, fc)) == count
         else:  # the 2^20 frames of s2_0 at n = 4 take seconds to yield: count the table they come from
-            rows, normals = _frame_table(n, fc, True, None)
-            assert rows.shape[1] * normals.size == count
+            assert _frame_table(n, relational, None).shape[1] * _normals(n, fc, True).size == count
 
 
 def test_orbit_least_against_every_permutation():
     for n in (1, 2, 3):
-        rows, _ = _frame_table(n, S2_0, False, None)
+        rows = _frame_table(n, S2_0, None)
         rels = [tuple(r) for r in rows.T.tolist()]
 
         def code(rel):  # the canonical relation code, world 0's successor group the top bits
