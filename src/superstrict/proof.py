@@ -351,6 +351,8 @@ def soundness_spotcheck(
     override is given (useful for demonstrating what a wrong class would
     let through).  A hit means either a checker bug or a deliberately
     mismatched class."""
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1")
     check(system, d)
     fc = frame_class if frame_class is not None else _SYSTEMS[system].frame_class
     out = []

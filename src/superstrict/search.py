@@ -86,16 +86,16 @@ image valuation.  The frames that hit are therefore a union of orbits, and
 as canonical order is relation-major, the first of them has the least
 relation code of its orbit: a smaller image would carry a hit on an earlier
 frame.  So `_frame_table`, the search's table, keeps of the relations that
-meet the class conditions only those that `_orbit_least` finds no smaller
-than any of their images under the n! permutations, each with every mask,
-and the scan meets the same first frame, valuation and world.  It is built
-once per n and relational conditions, the class without `all_normal`, and
-kept for every n.  This is orderly generation (Read 1978, "Every one a
-winner"; McKay 1998, "Isomorph-free exhaustive generation").  At n = 4 it
-keeps 3,044 of the 65,536 relations of `s2_0`, 218 of the 4,096 of `s2`
-and 33 of the 355 of `s3`.
-`enumerate_frames` still yields every frame, decoding the relation codes
-`_CODES` at a time as it yields.
+meet the class conditions only those that `_orbit_least`, trying one
+permutation at a time on the relations still in, finds no smaller than any
+of their n! images, each with every mask, and the scan meets the same first
+frame, valuation and world.  It is built once per n and relational
+conditions, the class without `all_normal`, and kept for every n.  This is
+orderly generation (Read 1978, "Every one a winner"; McKay 1998,
+"Isomorph-free exhaustive generation").  At n = 4 it keeps 3,044 of the
+65,536 relations of `s2_0`, 218 of the 4,096 of `s2` and 33 of the 355 of
+`s3`.  `enumerate_frames` still yields every frame, decoding the relation
+codes `_CODES` at a time as it yields.
 """
 
 from __future__ import annotations
@@ -117,25 +117,25 @@ _CODES = 1 << 14  # relation codes decoded at once
 Program = list[tuple]  # (op, slot a, slot b); a variable's name as `a` until lowered
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: cached tables are shared by every search."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def _reversal(n: int) -> np.ndarray:
     """`rev[m]`: the world mask of the n-bit group m, whose top bit is world 0."""
     m = np.arange(1 << n)
     rev = sum(((m >> (n - 1 - j)) & 1) << j for j in range(n))
-    return np.asarray(rev, dtype=np.min_scalar_type((1 << n) - 1))
+    return _frozen(np.asarray(rev, dtype=np.min_scalar_type((1 << n) - 1)))[0]
 
 
 def _groups(codes: np.ndarray, n: int, count: int) -> list[np.ndarray]:
     """World masks of the `count` n-bit groups of big-endian uint64 codes."""
     rev, low = _reversal(n), np.uint64((1 << n) - 1)
     return [rev[(codes >> np.uint64(n * (count - 1 - i))) & low] for i in range(count)]
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, made read-only: cached tables are shared by every search."""
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
 
 
 @lru_cache(maxsize=None)
@@ -153,23 +153,22 @@ def _relabellings(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _orbit_least(rows: np.ndarray) -> np.ndarray:
     """The columns, ascending, of the relations in successor rows of shape
     (n, relations) whose code is least among their images under every
-    permutation of the worlds.
-    Permutations are tried in batches of about `_CODES` images, each on the
-    relations that no earlier batch has beaten."""
-    n, count = rows.shape
+    permutation of the worlds.  The permutations are tried one at a time in
+    `_relabellings` order, each on the relations no earlier one has beaten,
+    until none is left."""
+    n = len(rows)
     src, image = _relabellings(n)
     shift = (n * np.arange(n - 1, -1, -1)).astype(image.dtype)[:, None]
 
-    def codes(p: np.ndarray, r: np.ndarray) -> np.ndarray:  # (permutations, relations)
-        return (image[p[:, None, None], r[src[p]]] << shift).sum(axis=1, dtype=image.dtype)
+    def codes(p: int, r: np.ndarray) -> np.ndarray:  # the code of each relation's image under p
+        return (image[p].take(r[src[p]]) << shift).sum(axis=0, dtype=image.dtype)
 
-    code = codes(np.arange(1), rows)[0]
-    keep = np.arange(count)
-    p = 1
-    while p < len(src) and keep.size:
-        batch = np.arange(p, min(p + max(_CODES // keep.size, 1), len(src)))
-        keep = keep[(codes(batch, rows[:, keep]) >= code[keep]).all(axis=0)]
-        p += batch.size
+    keep, code = np.arange(rows.shape[1]), codes(0, rows)
+    for p in range(1, len(src)):
+        if not keep.size:
+            break
+        ok = codes(p, rows.take(keep, axis=1)) >= code
+        keep, code = keep[ok], code[ok]
     return keep
 
 
@@ -198,14 +197,12 @@ def _frame_block(n: int, fc: FrameClass, lo: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _frame_table(n: int, fc: FrameClass, least: Callable[[np.ndarray], np.ndarray] | None) -> np.ndarray:
-    """The successor rows of `fc`'s relations at n, `_frame_block`'s blocks
-    joined in order.  A `least` test, if given, keeps of each nonempty block
-    only the relations at the columns it returns: `_orbit_least` gives the
-    search's table (see the module docstring), None the full one."""
+def _frame_table(n: int, fc: FrameClass) -> np.ndarray:
+    """The successor rows of `fc`'s relations at n that `_orbit_least` keeps,
+    one per isomorphism class (see the module docstring), tested a block of
+    `_frame_block` at a time and joined in order."""
     blocks = (_frame_block(n, fc, lo) for lo in range(0, 1 << n * n, _CODES))
-    kept = [rows.take(least(rows), axis=1) if least and rows.size else rows for rows in blocks]
-    return _frozen(np.concatenate(kept, axis=1))[0]
+    return _frozen(np.concatenate([rows.take(_orbit_least(rows), axis=1) for rows in blocks], axis=1))[0]
 
 
 def _normals(n: int, fc: FrameClass, all_points: bool) -> np.ndarray:
@@ -437,7 +434,7 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
         vstep, fstep, used, word = _geometry(len(program), n, nvals)
         words = vstep // used
         full = word.type((1 << used) - 1)
-        rows, normals = _frame_table(n, relational, _orbit_least), _normals(n, fc, all_points)
+        rows, normals = _frame_table(n, relational), _normals(n, fc, all_points)
         bit = np.arange(n, dtype=rows.dtype)[:, None]
         gstep = min(fstep, normals.size)
         rstep = fstep // gstep

@@ -4,9 +4,10 @@ The oracle route walks `naive_frames` and every valuation in canonical
 order and evaluates over sets with `extensions`; the engine compiles the
 formulas once and evaluates chunks of frames x valuations.  Both must return
 the same first witness, compared as (frame size, world, model JSON), or
-None on both sides.  Where the engine scans one valuation per propositional
-type, it must also return what its plain scan of every valuation code
-returns.
+None on both sides.  Each reduction the engine makes, one valuation per
+propositional type, one relation per isomorphism class and chunks of many
+frames, must leave the first witness as it is: switched off one at a time
+or all together through `SWITCHES`, the engine returns the same.
 """
 
 import itertools
@@ -21,15 +22,19 @@ from hypothesis import given, settings
 from superstrict import search
 from superstrict.catalog import CATALOG, CATALOG_BY_NAME
 from superstrict.search import (
+    _CODES,
     _PAIRS,
     _compile,
     _first_hit,
+    _frame_block,
     _frame_table,
     _geometry,
     _normals,
     _orbit_least,
     _planes,
+    _relabellings,
     _representatives,
+    _reversal,
     _table,
     definability_probe,
     enumerate_frames,
@@ -105,24 +110,47 @@ def search_keys(f, other, fc, max_n):
             probe_key(definability_probe(f, fc, max_n)))
 
 
+@cache
+def full_table(n, fc):
+    """Every relation of the class at n, in canonical order: the search's
+    table without the orbit reduction."""
+    return np.concatenate([_frame_block(n, fc, lo) for lo in range(0, 1 << n * n, _CODES)], axis=1)
+
+
+# The engine's reductions, each switched off by the `search` attributes it
+# reads: no type table, the full relation table, and one frame a chunk.
+SWITCHES = {
+    "types": {"_representatives": lambda *args: None},
+    "orbits": {"_frame_table": full_table},
+    "chunks": {"_CHUNK_BYTES": 1},
+}
+SWITCHES["all"] = SWITCHES["types"] | SWITCHES["orbits"] | SWITCHES["chunks"]
+
+
+def switch_off(mp, *switches):
+    for switch in switches:
+        for name, value in SWITCHES[switch].items():
+            mp.setattr(search, name, value)
+
+
 def plain_scan(mp):
     """Make `_first_hit` scan every valuation code of every relation: no
     propositional types and no orbit reduction."""
-    mp.setattr(search, "_representatives", lambda *args: None)
-    mp.setattr(search, "_orbit_least", None)
+    switch_off(mp, "types", "orbits")
+
+
+def assert_same_without(switch, search_fn):
+    """What `search_fn()` returns, asserted equal with the reductions of `switch` off."""
+    key = search_fn()
+    with pytest.MonkeyPatch.context() as mp:
+        switch_off(mp, switch)
+        assert search_fn() == key
+    return key
 
 
 def assert_all_searches_agree(f, other, fc, max_n):
     expected = (oracle_countermodel(f, fc, max_n), oracle_rule([f], other, fc, max_n), oracle_definability(f, fc, max_n))
     assert search_keys(f, other, fc, max_n) == expected
-
-
-def assert_reduced_matches_plain(f, other, fc, max_n):
-    reduced = search_keys(f, other, fc, max_n)
-    with pytest.MonkeyPatch.context() as mp:
-        plain_scan(mp)
-        assert search_keys(f, other, fc, max_n) == reduced
-    return reduced
 
 
 def reps_of(*fs):
@@ -163,24 +191,6 @@ def test_random_formulas_agree_with_oracle(class_name, f, other):
     assert_all_searches_agree(f, other, NAMED_CLASSES[class_name], 2)
 
 
-# One valuation per propositional type against the plain scan.  A formula's
-# truth depends on the valuation only through the rows of its maximal
-# propositional subformulas, so the scan reads one valuation per class of
-# equal rows, the smallest code of each, and must find the same first witness.
-@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
-def test_catalog_entry_reduced_matches_plain(entry):
-    assert_reduced_matches_plain(entry.formula, Box(entry.formula), entry.frame_class, entry.bound)
-
-
-@pytest.mark.parametrize("class_name", sorted(NAMED_CLASSES))
-@settings(max_examples=20)
-@given(formulas(max_leaves=5), formulas(max_leaves=3))
-def test_random_formulas_reduced_match_plain(class_name, f, other):
-    # all three variables, so the table is read at n = 3
-    g = Or(f, And(Var("p"), And(Var("q"), Var("r"))))
-    assert_reduced_matches_plain(g, other, NAMED_CLASSES[class_name], 3)
-
-
 K = NAMED_CLASSES["k"]
 
 
@@ -196,7 +206,7 @@ def test_witness_in_canonical_not_world_major_order():
     assert key == oracle_countermodel(f, K, 2)
     assert key == (2, 1, {"worlds": 2, "rel": [[], [0]], "normals": [0, 1],
                           "val": {"p": [0], "q": [0], "r": [], "s": []}})
-    assert_reduced_matches_plain(f, parse("dia top"), K, 2)
+    assert_same_without("types", partial(search_keys, f, parse("dia top"), K, 2))
 
 
 def test_witness_in_the_padded_last_word():
@@ -210,7 +220,7 @@ def test_witness_in_the_padded_last_word():
     key = countermodel_key(f, K, 2)
     assert key == oracle_countermodel(f, K, 2)
     assert key[2]["val"] == {x: [0, 1] for x in "pqrs"} and valuation_code(key[2]) == (1 << 8) - 1
-    assert_reduced_matches_plain(f, parse("dia top"), K, 2)
+    assert_same_without("types", partial(search_keys, f, parse("dia top"), K, 2))
     assert len(table_codes(4, 3, reps_of(CATALOG_BY_NAME["ssi_transitivity"].formula))) == 2432  # 7^4 = 2,401 codes
 
 
@@ -221,7 +231,7 @@ def test_constant_atoms_leave_one_valuation():
     assert reps_of(f) == (0,)
     assert table_codes(3, 3, (0,)) == [0]
     assert_all_searches_agree(f, parse("dia top"), K, 3)
-    assert assert_reduced_matches_plain(f, parse("dia top"), K, 3)[0] == (
+    assert assert_same_without("types", partial(search_keys, f, parse("dia top"), K, 3))[0] == (
         3, 1, {"worlds": 3, "rel": [[], [2], [0]], "normals": [0, 1, 2], "val": {"p": [], "q": [], "r": []}})
 
 
@@ -500,42 +510,59 @@ def test_one_frame_with_valuation_ranges():
     assert probe_key(definability_probe(f, STAR, 2)) == oracle_definability(f, STAR, 2)
 
 
-# The budget sets only how many frames a chunk holds, so the first witness
-# must not depend on it: the default budget against one so small that every
-# chunk holds one frame, where the hit decode has one relation and one mask
-# to choose from.  Besides the catalog, the formula of
+# Each reduction, and all of them together, switched off against the engine
+# as it runs: a catalog test and a random-formula test per switch, each
+# bound to a name below.  Besides the catalog at its bounds, the formula of
 # `test_several_relations_by_all_masks`, whose first hit lies in the last
 # mask of one relation with a hit in the first mask of the next, so a chunk
 # decoded mask-major returns the wrong one.
-def assert_same_with_one_frame_chunks(f, other, fc, max_n):
-    keys = search_keys(f, other, fc, max_n)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_CHUNK_BYTES", 1)
-        assert search_keys(f, other, fc, max_n) == keys
-
-
-@pytest.mark.parametrize("f, fc, max_n", [
+CATALOG_CASES = [
     *(pytest.param(e.formula, e.frame_class, e.bound, id=e.name) for e in CATALOG),
     pytest.param(parse("box dia top & (box box top | box ~box top)"), S2_0, 2, id="first_hit_in_a_late_mask"),
-])
-def test_witness_does_not_depend_on_the_budget(f, fc, max_n):
-    assert_same_with_one_frame_chunks(f, Box(f), fc, max_n)
+]
 
 
-@pytest.mark.parametrize("class_name", sorted(NAMED_CLASSES))
-@settings(max_examples=20)
-@given(formulas(max_leaves=4), formulas(max_leaves=3))
-def test_random_formulas_witness_does_not_depend_on_the_budget(class_name, f, other):
-    assert_same_with_one_frame_chunks(f, other, NAMED_CLASSES[class_name], 3)
+def catalog_test(switch):
+    """A test that no catalog case's first witnesses change with `switch` off."""
+
+    @pytest.mark.parametrize("f, fc, max_n", CATALOG_CASES)
+    def test(f, fc, max_n):
+        assert_same_without(switch, partial(search_keys, f, Box(f), fc, max_n))
+
+    return test
+
+
+def random_test(switch):
+    """A test that no random formula's first witnesses at n <= 3 change with `switch` off."""
+
+    @pytest.mark.parametrize("class_name", sorted(NAMED_CLASSES))
+    @settings(max_examples=20)
+    @given(formulas(max_leaves=5), formulas(max_leaves=3))
+    def test(class_name, f, other):
+        # all three variables, so the type table is read at n = 3
+        g = Or(f, And(Var("p"), And(Var("q"), Var("r"))))
+        assert_same_without(switch, partial(search_keys, g, other, NAMED_CLASSES[class_name], 3))
+
+    return test
+
+
+test_catalog_witness_does_not_depend_on_the_types = catalog_test("types")
+test_random_formulas_witness_does_not_depend_on_the_types = random_test("types")
+test_catalog_witness_does_not_depend_on_the_orbit_reduction = catalog_test("orbits")
+test_random_formulas_witness_does_not_depend_on_the_orbit_reduction = random_test("orbits")
+test_witness_does_not_depend_on_the_budget = catalog_test("chunks")
+test_random_formulas_witness_does_not_depend_on_the_budget = random_test("chunks")
+test_catalog_entry_reduced_matches_plain = catalog_test("all")
+test_random_formulas_reduced_match_plain = random_test("all")
 
 
 def test_frame_table_does_not_repeat_relations():
-    rows, normals = _frame_table(4, S2_0, None), _normals(4, S2_0, False)  # the full table, every relation of the class
+    rows, normals = full_table(4, S2_0), _normals(4, S2_0, False)  # every relation of the class
     assert rows.shape[1] == 1 << 16
     assert sorted(normals.tolist()) == list(range(1, 16))  # every nonempty set
     # 4,915,200 bytes when each relation was repeated once per mask
     assert rows.nbytes + normals.nbytes < 300_000
-    assert _frame_table(4, S2_0, _orbit_least).shape[1] == 3044  # the search's table
+    assert _frame_table(4, S2_0).shape[1] == 3044  # the search's table
 
 
 def test_frame_table_is_built_once_per_size_and_class():
@@ -559,6 +586,14 @@ def test_frame_table_is_built_once_per_size_and_class():
             assert definability_probe(parse("p ||> q"), relational, 3) is None
             assert len(decoded) == 3  # no later search decodes a block
         assert search._frame_table.cache_info().currsize == 9  # three sizes of three relational conditions
+
+
+def test_cached_arrays_are_read_only():
+    # every later search reads them: a write into one would change its masks or decodes
+    table = _table(4, 3, reps_of(CATALOG_BY_NAME["ssi_transitivity"].formula))
+    arrays = [_reversal(3), *(_normals(3, fc, all_points) for fc in (S2_0, NAMED_CLASSES["kt"]) for all_points in (False, True)),
+              *_relabellings(3), _frame_table(3, S2_0), *table[0], *_planes(3, 2, 0, 64)]
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_enumerate_frames_decodes_as_it_yields():
@@ -603,17 +638,18 @@ def test_search_reads_one_relation_per_isomorphism_class(class_name):
     fc = NAMED_CLASSES[class_name]
     kept = KEPT[class_name]
     relational = replace(fc, all_normal=False)  # the search's key
-    assert tuple(_frame_table(n, relational, _orbit_least).shape[1] for n in range(1, len(kept) + 1)) == kept
+    assert tuple(_frame_table(n, relational).shape[1] for n in range(1, len(kept) + 1)) == kept
     for n, count in enumerate(FRAMES[class_name], 1):
         if count <= 1 << 16:
             assert sum(1 for _ in enumerate_frames(n, fc)) == count
         else:  # the 2^20 frames of s2_0 at n = 4 take seconds to yield: count the table they come from
-            assert _frame_table(n, relational, None).shape[1] * _normals(n, fc, True).size == count
+            assert full_table(n, relational).shape[1] * _normals(n, fc, True).size == count
 
 
 def test_orbit_least_against_every_permutation():
-    for n in (1, 2, 3):
-        rows = _frame_table(n, S2_0, None)
+    # s2_0 to n = 3, one block of codes, and s2 and s3 at n = 4, four blocks
+    for n, fc in ((1, S2_0), (2, S2_0), (3, S2_0), (4, S2), (4, S3)):
+        rows = full_table(n, fc)
         rels = [tuple(r) for r in rows.T.tolist()]
 
         def code(rel):  # the canonical relation code, world 0's successor group the top bits
@@ -628,40 +664,21 @@ def test_orbit_least_against_every_permutation():
         least = [i for i, rel in enumerate(rels)
                  if all(code(image(rel, perm)) >= code(rel) for perm in itertools.permutations(range(n)))]
         assert _orbit_least(rows).tolist() == least
-
-
-def assert_same_on_the_full_table(search_fn):
-    key = search_fn()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_orbit_least", None)
-        assert search_fn() == key
-    return key
-
-
-@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
-def test_catalog_witness_does_not_depend_on_the_orbit_reduction(entry):
-    assert_same_on_the_full_table(partial(search_keys, entry.formula, Box(entry.formula), entry.frame_class, entry.bound))
-
-
-@pytest.mark.parametrize("class_name", sorted(NAMED_CLASSES))
-@settings(max_examples=20)
-@given(formulas(max_leaves=4), formulas(max_leaves=3))
-def test_random_formulas_witness_does_not_depend_on_the_orbit_reduction(class_name, f, other):
-    assert_same_on_the_full_table(partial(search_keys, f, other, NAMED_CLASSES[class_name], 3))
+        assert np.array_equal(_frame_table(n, fc), rows[:, least])  # tested a block at a time
 
 
 def test_witnesses_at_four_worlds_do_not_depend_on_the_orbit_reduction():
     premises, conclusion = STAR_RULE
-    assert assert_same_on_the_full_table(lambda: countermodel_key(STAR_F, STAR, 4))[:2] == (4, 3)
-    assert assert_same_on_the_full_table(lambda: probe_key(rule_probe_witness(premises, conclusion, STAR, 4)))[0] == 4
-    assert assert_same_on_the_full_table(lambda: probe_key(definability_probe(STAR_G, STAR, 4)))[0] == 4
+    assert assert_same_without("orbits", lambda: countermodel_key(STAR_F, STAR, 4))[:2] == (4, 3)
+    assert assert_same_without("orbits", lambda: probe_key(rule_probe_witness(premises, conclusion, STAR, 4)))[0] == 4
+    assert assert_same_without("orbits", lambda: probe_key(definability_probe(STAR_G, STAR, 4)))[0] == 4
     # 7 relations of s2 come before the witness's at n = 4, and the search reads 3 of them
     f = parse("(box q & p ||> ((q |> bot) => bot)) -> (p |> dia q | bot)")
     assert find_countermodel(f, S2, 3) is None
     first = (4, 3, {"worlds": 4, "rel": [[0], [1], [2], [0, 1, 2, 3]], "normals": [1, 2, 3], "val": {"p": [1, 2], "q": [2]}})
-    assert assert_same_on_the_full_table(lambda: countermodel_key(f, S2, 4)) == first
-    assert assert_same_on_the_full_table(lambda: probe_key(rule_probe_witness([parse("p -> p")], f, S2, 4))) == first
-    assert assert_same_on_the_full_table(lambda: probe_key(definability_probe(f, S2, 4))) == first
+    assert assert_same_without("orbits", lambda: countermodel_key(f, S2, 4)) == first
+    assert assert_same_without("orbits", lambda: probe_key(rule_probe_witness([parse("p -> p")], f, S2, 4))) == first
+    assert assert_same_without("orbits", lambda: probe_key(definability_probe(f, S2, 4))) == first
 
 
 # The word shapes, chunk geometries and memory bounds above are pinned for

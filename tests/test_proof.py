@@ -353,6 +353,12 @@ class TestSpotcheck:
         assert not over_weak[0].valid_up_to_bound
         assert over_weak[0].countermodel.frame_size == 1
 
+    def test_bound_checked_before_any_step(self):
+        # an empty derivation has no step to search, and the bound is refused all the same
+        for d in (Derivation(()), load("lemmon_box_top.proof")):
+            with pytest.raises(ValueError, match="max_n must be at least 1"):
+                soundness_spotcheck(SystemId.LEMMON_S2, d, 0)
+
     def test_requires_checked_derivation(self):
         bad = parse_script("1. box p -> p ; axiom pc\n")
         with pytest.raises(DerivationError):

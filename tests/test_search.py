@@ -247,7 +247,7 @@ class TestWitnessReverification:
         # the scan reads the S2_0 relations whatever class it was asked for: S2's
         # first witnesses are then irreflexive (k's relations are S2_0's anyway)
         table = search._frame_table
-        monkeypatch.setattr(search, "_frame_table", lambda n, fc, least: table(n, S2_0, least))
+        monkeypatch.setattr(search, "_frame_table", lambda n, fc: table(n, S2_0))
         with pytest.raises(RuntimeError, match="re-verification"):
             find_countermodel(parse("(p |> q) & p -> q"), S2, 2)
         with pytest.raises(RuntimeError, match="re-verification"):
