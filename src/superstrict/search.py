@@ -96,6 +96,9 @@ orderly generation (Read 1978, "Every one a winner"; McKay 1998,
 65,536 relations of `s2_0`, 218 of the 4,096 of `s2` and 33 of the 355 of
 `s3`.  `enumerate_frames` still yields every frame, decoding the relation
 codes `_CODES` at a time as it yields.
+
+`np` is a proxy that imports numpy at its first attribute read, so a process
+that never searches, such as `superstrict parse`, starts without numpy.
 """
 
 from __future__ import annotations
@@ -105,12 +108,23 @@ from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .semantics import Frame, FrameClass, Model, extension, holds, satisfies_class
 from .semantics import relation_satisfies  # noqa: F401  callers look it up here
 from .syntax import And, Bot, Box, Dia, Formula, Imp, Or, Ssi, Sssi, Strict, Var, desugar, fold
 
+
+class _Numpy:
+    """numpy, imported at the first attribute read; each attribute read is
+    kept on the instance, so a later read is a plain lookup."""
+
+    def __getattr__(self, name: str):
+        import numpy
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()
 _PAIRS = 1 << 15  # valuations a frame evaluated at once
 _CHUNK_BYTES = 1 << 20  # bytes of every slot's bit planes in a chunk
 _CODES = 1 << 14  # relation codes decoded at once

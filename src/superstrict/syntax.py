@@ -455,35 +455,75 @@ _TO_STRICT = {node: _template(text) for node, text in {
 # ---------------------------------------------------------------------------
 # printing
 
-_INFIX_TEXT = {node: (symbol, level) for symbol, (level, node) in _INFIX.items()}
+_LEVEL = {node: level for level, node in _INFIX.values()} | {Var: 5, Bot: 5, Box: 4, Dia: 4}
+_TEXT = {node: f" {symbol} " for symbol, (_, node) in _INFIX.items()} | {Box: "box ", Dia: "dia "}
 
 
 def pretty(f: Formula) -> str:
-    """Minimal-parenthesization concrete syntax; parse(pretty(f)) == f."""
-    return fold(f, _pretty_step)[0]
+    """Minimal-parenthesization concrete syntax; parse(pretty(f)) == f.
+
+    The text is written top-down as a list of pieces, so a chain of any
+    depth prints in time and memory linear in its length.  The second time
+    an inner node is met, its text is written once more, as one piece that
+    every later meeting appends (a node met again inside that text is just
+    written in it), so a shared subformula is not walked again and again.
+    """
+    out: list[str] = []
+    seen: set[int] = set()  # ids of the inner nodes met
+    texts: dict[int, str] = {}  # id -> the text of an inner node written twice
+    span = None  # (id, start in `out`) of the node being written the second time
+    stack: list = [f]  # nodes and pieces to write, and None to close `span`
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is str:
+            out.append(g)
+            continue
+        if t is Var or t is Bot:
+            out.append(g.name if t is Var else "bot")
+            continue
+        if g is None:
+            i, start = span
+            texts[i] = "".join(out[start:])
+            out[start:] = [texts[i]]
+            span = None
+            continue
+        i = id(g)
+        if i in texts:
+            out.append(texts[i])
+            continue
+        if i not in seen:
+            seen.add(i)
+        elif span is None:  # met again, and not inside such a text: write it as one piece
+            span = i, len(out)
+            stack.append(None)
+        if t is Box or t is Dia:
+            out.append(_TEXT[t])
+            _push(stack, g.child, 4)
+        elif t is Imp and type(g.right) is Bot:
+            if type(g.left) is Bot:
+                out.append("top")
+            else:
+                out.append("~")
+                _push(stack, g.left, 4)
+        else:
+            # operators associate to the right: only a same-operator right
+            # operand continues the chain without parentheses
+            level = _LEVEL[t]
+            _push(stack, g.right, level if type(g.right) is t else level + 1)
+            stack.append(_TEXT[t])
+            _push(stack, g.left, level + 1)
+    return "".join(out)
 
 
-def _operand(kid: tuple[str, int], need: int) -> str:
-    text, prec = kid
-    return "(" + text + ")" if prec < need else text
-
-
-def _pretty_step(g: Formula, kids: Sequence[tuple[str, int]]) -> tuple[str, int]:
-    """The text of `g` and its level: atoms 5, prefix 4, infix as in `_INFIX`."""
+def _push(stack: list, g: Formula, need: int) -> None:
+    """Put `g` on the printer's stack, in parentheses if it binds looser than
+    `need`: atoms bind at level 5, prefix operators 4, infix as in `_INFIX`."""
     t = type(g)
-    if t is Var:
-        return g.name, 5
-    if t is Bot:
-        return "bot", 5
-    if t is Imp and type(g.right) is Bot:
-        return ("top", 5) if type(g.left) is Bot else ("~" + _operand(kids[0], 4), 4)
-    if t is Box or t is Dia:
-        return ("box " if t is Box else "dia ") + _operand(kids[0], 4), 4
-    # operators associate to the right: only a same-operator right operand
-    # continues the chain without parentheses
-    symbol, level = _INFIX_TEXT[t]
-    a, b = kids
-    return f"{_operand(a, level + 1)} {symbol} {_operand(b, level if type(g.right) is t else level + 1)}", level
+    if _LEVEL[t] < need and (t is not Imp or type(g.right) is not Bot):
+        stack += (")", g, "(")
+    else:
+        stack.append(g)
 
 
 # ---------------------------------------------------------------------------

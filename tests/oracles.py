@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator
 
-from superstrict.syntax import And, Bot, Box, Dia, Formula, Imp, Or, Ssi, Sssi, Strict, Var
+from superstrict.syntax import And, Bot, Box, Dia, Formula, Imp, Or, Ssi, Sssi, Strict, Var, fold
 
 
 def eval_json(mj: dict, w: int, f: Formula) -> bool:
@@ -146,3 +146,32 @@ def naive_frames(
             if all_normal and len(normals) != n:
                 continue
             yield edges, normals
+
+
+_INFIX_TEXT = {And: ("&", 3), Or: ("|", 2), Imp: ("->", 1), Strict: ("=>", 1), Ssi: ("|>", 1), Sssi: ("||>", 1)}
+
+
+def pretty_bottom_up(f: Formula) -> str:
+    """The printer as a bottom-up `fold`: each node's text and binding level
+    (atoms 5, prefix 4, infix 3 to 1) from its children's.  It keeps every
+    node's text, so a deep chain costs quadratic memory; keep it to small
+    formulas."""
+    def operand(kid: tuple[str, int], need: int) -> str:
+        text, level = kid
+        return "(" + text + ")" if level < need else text
+
+    def step(g: Formula, kids) -> tuple[str, int]:
+        t = type(g)
+        if t is Var:
+            return g.name, 5
+        if t is Bot:
+            return "bot", 5
+        if t is Imp and type(g.right) is Bot:
+            return ("top", 5) if type(g.left) is Bot else ("~" + operand(kids[0], 4), 4)
+        if t is Box or t is Dia:
+            return ("box " if t is Box else "dia ") + operand(kids[0], 4), 4
+        symbol, level = _INFIX_TEXT[t]
+        a, b = kids
+        return f"{operand(a, level + 1)} {symbol} {operand(b, level if type(g.right) is t else level + 1)}", level
+
+    return fold(f, step)[0]

@@ -1,10 +1,12 @@
 """Formulas far deeper than Python's recursion limit go through every
-bottom-up walk: the translations, substitution, modal depth, the printer,
-the JSON form, the scalar evaluator, `taut` and `hash` all run on `fold`.
-The parser, `formula_from_json` and `==` keep their own stacks too, and
-`replace_at` walks each path in a loop."""
+bottom-up walk: the translations, substitution, modal depth, the JSON form,
+the scalar evaluator, `taut` and `hash` all run on `fold`.  The parser, the
+printer, `formula_from_json` and `==` keep their own stacks too, and
+`replace_at` walks each path in a loop.  The printer's memory is linear in
+the depth."""
 
 import sys
+import tracemalloc
 
 import pytest
 
@@ -135,3 +137,15 @@ def test_fold_runs_children_first_left_to_right(text):
     order = []
     fold(f, lambda g, kids: order.append(g))
     assert [id(g) for g in order] == [id(g) for g in post_order(f)]
+
+
+@pytest.mark.parametrize("text", ["~" * 200_000 + "p", "box " * 30_000 + "p"], ids=["negations", "boxes"])
+def test_printer_memory_is_linear(text):
+    f = parse(text)
+    tracemalloc.start()
+    try:
+        assert pretty(f) == text
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20

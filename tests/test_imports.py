@@ -1,12 +1,21 @@
-"""Every name a module of the package imports is used in that module, and
-every private name a module defines is read somewhere in the package."""
+"""Every name a module of the package imports is used in that module, every
+private name a module defines is read somewhere in the package, and numpy
+is imported at the first search, not with the package."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "superstrict"
+from superstrict import NAMED_CLASSES, find_countermodel, model_to_json, parse, search
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "superstrict"
 
 # (module, name) imported for other code to look up there, never used by the module itself.
 ALLOWED = {
@@ -51,3 +60,45 @@ def test_every_private_definition_is_read():
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     read |= {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert set().union(*map(private_definitions, trees)) - read == set()
+
+
+# Commands that never search, then one search; one JSON line on stdout.
+LAZY_NUMPY = """
+import contextlib, io, json, sys
+import superstrict
+loaded = {"import superstrict": "numpy" in sys.modules}
+import superstrict.cli as cli
+loaded["import superstrict.cli"] = "numpy" in sys.modules
+model, script, formula, fc = sys.argv[1:]
+for argv in (["parse", "--formula", formula], ["parse", "--json", "--formula", formula],
+             ["translate", "--to", "box", "--formula", formula],
+             ["eval", "--formula", formula, "--model", model, "--world", "0"],
+             ["prove", "--system", "lemmon-s2", "--script", script], ["--help"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    loaded[" ".join(argv[:2])] = code, "numpy" in sys.modules
+report = superstrict.find_countermodel(superstrict.parse(formula), superstrict.NAMED_CLASSES[fc], 3)
+loaded["search"] = "numpy" in sys.modules
+print(json.dumps({"loaded": loaded, "report": [report.frame_size, report.world, superstrict.model_to_json(report.model)]}))
+"""
+
+
+def test_numpy_loads_at_the_first_search(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"worlds": 2, "rel": [[1], [1]], "normals": [0], "val": {"p": [1]}}))
+    formula, fc = "(p |> q) -> (q |> p)", "s2"
+    run = subprocess.run([sys.executable, "-c", LAZY_NUMPY, str(model), str(ROOT / "tests" / "data" / "lemmon_becker.proof"),
+                          formula, fc], env={**os.environ, "PYTHONPATH": str(SRC.parent)}, cwd=tmp_path,
+                         capture_output=True, text=True, check=True)
+    out = json.loads(run.stdout)
+    assert out["loaded"] == {"import superstrict": False, "import superstrict.cli": False,
+                             "parse --formula": [0, False], "parse --json": [0, False],
+                             "translate --to": [0, False], "eval --formula": [0, False],
+                             "prove --system": [0, False], "--help": [0, False], "search": True}
+    report = find_countermodel(parse(formula), NAMED_CLASSES[fc], 3)
+    assert out["report"] == [report.frame_size, report.world, model_to_json(report.model)]
+
+
+def test_numpy_attributes_are_kept_on_the_proxy():
+    assert search.np.arange is numpy.arange
+    assert vars(search.np)["arange"] is numpy.arange

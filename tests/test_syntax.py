@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from superstrict.catalog import CATALOG
 from superstrict.syntax import (
     And,
     Bot,
@@ -39,6 +40,7 @@ from superstrict.syntax import (
     weight,
 )
 
+from oracles import pretty_bottom_up
 from strategies import extensional_formulas, formulas
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -187,6 +189,31 @@ class TestPretty:
     @given(formulas())
     def test_roundtrip(self, f):
         assert parse(pretty(f)) == f
+
+    def test_shared_node_parenthesized_by_each_parent(self):
+        x = Or(P, Q)
+        f = And(Imp(x, x), And(x, Box(x)))
+        assert pretty(f) == "(p | q -> p | q) & (p | q) & box (p | q)"
+        text = pretty(f)
+        assert pretty(Ssi(And(f, Box(f)), f)) == f"({text}) & box ({text}) |> {text}"
+
+    @given(formulas())
+    def test_same_text_as_bottom_up(self, f):
+        for g in (f, desugar(f), to_box_language(f), to_strict_language(f)):
+            assert pretty(g) == pretty_bottom_up(g)
+
+    @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+    def test_catalog_same_text_as_bottom_up(self, entry):
+        f = entry.formula
+        for g in (f, desugar(f), to_box_language(f), to_strict_language(f)):
+            assert pretty(g) == pretty_bottom_up(g)
+
+    def test_nested_shared_chain(self):
+        f = P
+        for _ in range(12):
+            f = Ssi(f, Q)
+        for g in (desugar(f), to_box_language(f), to_strict_language(f)):
+            assert pretty(g) == pretty_bottom_up(g)
 
 
 class TestMetrics:
