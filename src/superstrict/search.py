@@ -20,39 +20,61 @@ semantics for non-normal logics, where a frame is a relation plus a set of
 normal worlds: the relation codes that meet the class's relational
 conditions, `_frame_table`, and its normality masks, `_normals`.  Frame
 (relation i, mask m) comes before every frame of a later relation, so
-canonical order is the row-major order of (relations, masks).  The program runs on chunks of `rstep` relations x
-`gstep` consecutive masks x a range of `vstep` valuation codes, sized by
-their working set: as many frames as keep every slot's bit planes within
-`_CHUNK_BYTES`, all masks of several relations when they fit, else one
-relation and a group of masks, and a frame with more valuations than
-`_PAIRS` forms a chunk alone and walks them in ranges of `_PAIRS`.  The
-fixed cost of a chunk, the Python loop and one numpy call per instruction,
-is so paid once per megabyte of planes however few valuations a frame has.
-The program is bit-sliced: a slot's value on a chunk is an array of shape
-(n, relations, masks, words), one bit plane per world.  A frame's valuations
-are packed little-endian into words of `used = min(vstep, 64)` bits (uint8
-holds 1, 2, 4 or 8 of them, uint16, uint32 and uint64 are filled), so bit j
-of word t of plane w is the slot's truth at world w under the valuation at
-bit j of word t of the variables' planes; in the plain scan, which packs
-`_planes` from uint64 codes and so stops at k*n = 64, that is code
-lo + t * used + j.  The leaves broadcast: the variables' planes are
-(n, 1, 1, words), the normal points (n, 1, masks, 1), and a relation's
-successors a (world, successor, relations, 1, 1) array of all-ones or
-all-zero words, so a slot that never meets the normal points, such as "some
-successor is in" of a propositional operand, is computed once per relation,
-not once per frame.  "Some successor is in" ORs the successor words, masked
-by the operand, over the successor axis.  A search is a hit predicate on the
-program's results; the first nonzero word of the hit planes ORed over the
-worlds, in row-major order, decoded as (relation i, mask m, word t), and its
-lowest set bit j give the first hit frame in canonical order, the lowest
-plane holding that bit its world, and the variables' planes at word t and
-bit j its valuation.  Frame and Model objects are built for the witness
-only.  Every search runs through `_first_hit`, which re-verifies the witness
-once: its frame against the class, the hit predicate on the scalar
-extensions of :mod:`superstrict.semantics`.  A failure there is an internal
-fault and raises `RuntimeError`; `CountermodelReport` validates its public
-construction with `ValueError`, and takes a witness `_first_hit` has checked
-without checking it again.
+canonical order is the row-major order of (relations, masks).
+
+The program is bit-sliced, one bit plane per world, one bit of a plane per
+(frame, valuation) pair, and a slot takes one of two forms, picked for each
+n by its size, n x relations x masks x valuations bits.  A numpy call costs
+about a microsecond however few bits it reads, and most searches stop at
+n <= 3, where a slot holds a few hundred bits: there one operation on two
+Python ints takes about a tenth of that.  Where a size has many frames,
+numpy's broadcasting saves more than its calls cost: a slot that never
+meets the normal points is computed once per relation, not once per frame.
+So:
+
+* Up to `_INT_BITS` bits, the whole size is one chunk, and a slot is one
+  Python int of n world planes of `width` = relations x masks x valuations
+  bits: bit (i * masks + m) * valuations + v of plane w is its truth at
+  world w of frame (relation i, mask m) under valuation v, the planes'
+  layout in canonical order.  Conjunction, disjunction and implication are
+  one int operation each.  "Some successor is in" ORs n rotations of the
+  operand's planes, rotation d bringing plane w + d mod n to plane w, each
+  ANDed with the cached mask of the frames where w sees w + d mod n.  The
+  lowest set bit of the hit planes ORed over the worlds is the first hit
+  pair in canonical order, and the lowest plane holding it its world.
+* Above it, the program runs on numpy chunks of `rstep` relations x
+  `gstep` consecutive masks x a range of `vstep` valuation codes, sized by
+  their working set: as many frames as keep every slot's bit planes within
+  `_CHUNK_BYTES`, all masks of several relations when they fit, else one
+  relation and a group of masks, and a frame with more valuations than
+  `_PAIRS` forms a chunk alone and walks them in ranges of `_PAIRS`.  The
+  fixed cost of a chunk, the Python loop and one numpy call per
+  instruction, is so paid once per megabyte of planes however few
+  valuations a frame has.  A slot's value on a chunk is an array of shape
+  (n, relations, masks, words).  A frame's valuations are packed
+  little-endian into words of `used = min(vstep, 64)` bits (uint8 holds 1,
+  2, 4 or 8 of them, uint16, uint32 and uint64 are filled), so bit j of
+  word t of plane w is the slot's truth at world w under the valuation at
+  bit j of word t of the variables' planes; in the plain scan, which packs
+  `_planes` from uint64 codes and so stops at k*n = 64, that is code
+  lo + t * used + j.  The leaves broadcast: the variables' planes are
+  (n, 1, 1, words), the normal points (n, 1, masks, 1), and a relation's
+  successors a (world, successor, relations, 1, 1) array of all-ones or
+  all-zero words.  "Some successor is in" ORs the successor words, masked
+  by the operand, over the successor axis.  The first nonzero word of the
+  hit planes ORed over the worlds, in row-major order, decoded as
+  (relation i, mask m, word t), and its lowest set bit j give the first hit
+  frame in canonical order, the lowest plane holding that bit its world,
+  and the variables' planes at word t and bit j its valuation.
+
+A search is a hit predicate on the program's results, which works on both
+forms and on the world masks of a single model.  Frame and Model objects
+are built for the witness only.  Every search runs through `_first_hit`,
+which re-verifies the witness once: its frame against the class, the hit
+predicate on the scalar extensions of :mod:`superstrict.semantics`.  A
+failure there is an internal fault and raises `RuntimeError`;
+`CountermodelReport` validates its public construction with `ValueError`,
+and takes a witness `_first_hit` has checked without checking it again.
 
 The scan reads one valuation per propositional type.  A formula's truth
 depends on the valuation only through its maximal propositional
@@ -127,6 +149,7 @@ class _Numpy:
 np = _Numpy()
 _PAIRS = 1 << 15  # valuations a frame evaluated at once
 _CHUNK_BYTES = 1 << 20  # bytes of every slot's bit planes in a chunk
+_INT_BITS = 1 << 16  # bits of a slot up to which a size runs on Python ints
 _CODES = 1 << 14  # relation codes decoded at once
 Program = list[tuple]  # (op, slot a, slot b); a variable's name as `a` until lowered
 
@@ -219,6 +242,13 @@ def _frame_table(n: int, fc: FrameClass) -> np.ndarray:
     return _frozen(np.concatenate([rows.take(_orbit_least(rows), axis=1) for rows in blocks], axis=1))[0]
 
 
+@cache
+def _relational(fc: FrameClass) -> FrameClass:
+    """`fc` without `all_normal`, the key of its relations' `_frame_table`;
+    a class is six flags, so at most 64 are kept."""
+    return replace(fc, all_normal=False)
+
+
 def _normals(n: int, fc: FrameClass, all_points: bool) -> np.ndarray:
     """`fc`'s normality masks at n in canonical order: all worlds under
     `all_normal`, else every set, the empty one, where no world can fail,
@@ -266,6 +296,47 @@ def _planes(n: int, k: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
     """The bit planes of k variables under valuation codes lo..hi-1, as
     `_pack` lays them out: bit j of word t is code lo + t * used + j."""
     return _pack(n, _groups(np.arange(lo, hi, dtype=np.uint64), n, k))
+
+
+class _PlaneInt(int):
+    """The normal points on ints, n world planes of `width` bits, a world
+    mask of one model width 1.  The hit predicates get it as `normals`, and
+    `_outside` and `_nowhere` read from it the form and layout of their
+    operands, which the operators of int return as plain ints."""
+
+    def __new__(cls, value: int, n: int, width: int) -> _PlaneInt:
+        self = super().__new__(cls, value)
+        self.n, self.width = n, width
+        return self
+
+
+@lru_cache(maxsize=64)
+def _int_leaves(n: int, relations: bytes, masks: bytes, k: int,
+                reps: tuple[int, ...] | None) -> tuple[_PlaneInt, tuple[int, ...], tuple[int, ...]]:
+    """The leaves of a size that runs on ints, each n world planes of
+    `width` = relations x masks x valuations bits, bit (i * masks + m) *
+    valuations + v of plane w its value at world w of frame (relation i,
+    mask m) under valuation v: the normal points; the edge masks of `ex`,
+    plane w of mask d set where w sees w + d mod n; and the variables'
+    planes over the `_planes` codes or, given `reps`, the `_table`
+    valuations, alike in every frame.  The relations and masks come as the
+    bytes of their tables, so a search reads the leaves of the very table
+    `_frame_table` gave it.  At most 64 are kept, each 1 + n + k ints of at
+    most `_INT_BITS` bits."""
+    rows = np.frombuffer(relations, _reversal(n).dtype).reshape(n, -1)
+    normals = np.frombuffer(masks, _reversal(n).dtype)
+    planes, nvals = (_planes(n, k, 0, 1 << k * n), 1 << k * n) if reps is None else _table(n, k, reps)
+    shape = (n, rows.shape[1], normals.size, nvals)
+    worlds = np.arange(n)[:, None]
+
+    def bits(a: np.ndarray) -> int:  # `a`, broadcast to `shape`, as one int: the last axis the lowest bits
+        return int.from_bytes(np.packbits(np.broadcast_to(a, shape), axis=None, bitorder="little").tobytes(), "little")
+
+    norm = _PlaneInt(bits((normals >> worlds & 1)[:, None, :, None]), n, shape[1] * shape[2] * nvals)
+    edges = tuple(bits((rows >> (worlds + d) % n & 1)[:, :, None, None]) for d in range(n))
+    variables = tuple(bits(np.unpackbits(p.view(np.uint8), axis=-1, bitorder="little")[:, :, None, :nvals])
+                      for p in planes)
+    return norm, edges, variables
 
 
 def enumerate_frames(n: int, fc: FrameClass) -> Iterator[Frame]:
@@ -373,13 +444,11 @@ def _representatives(program: Program, roots: Sequence[int], k: int) -> tuple[in
     return tuple(sorted((c & -c).bit_length() - 1 for c in classes))
 
 
-def _run(program: Program, leaves: Sequence, rows: np.ndarray, full: np.unsignedinteger) -> list:
-    """Every slot's bit planes on a chunk of relations x masks x words.  The
-    leaves are bot, the normal points, (n, 1, masks, 1), and the variables'
-    planes, (n, 1, 1, words); the successor words `rows[w, v]` are
-    (relations, 1, 1).  Results broadcast, so a slot takes the axes of the
-    leaves below it: (n, relations, masks, words) at most, and one value per
-    relation for every slot that never meets the normal points."""
+def _run(program: Program, leaves: Sequence, ex: Callable, full) -> list:
+    """Every slot's value on a chunk, in the form of its leaves: bot, the
+    normal points and the variables' planes.  `&`, `|` and `^` act alike on
+    ints and on arrays, so only "some successor is in" depends on the form,
+    and `ex` computes it from the operand's value."""
     vals: list = []
     for op, a, b in program:
         match op:
@@ -392,7 +461,7 @@ def _run(program: Program, leaves: Sequence, rows: np.ndarray, full: np.unsigned
             case "imp":  # b is bot in every negation the lowering emits
                 v = full ^ vals[a] if b == 0 else (full ^ vals[a]) | vals[b]
             case "ex":
-                v = np.bitwise_or.reduce(rows & vals[a], axis=1)
+                v = ex(vals[a])
         vals.append(v)
     return vals
 
@@ -412,18 +481,87 @@ def _geometry(slots: int, n: int, nvals: int) -> tuple[int, int, int, np.dtype]:
     return vstep, fstep, used, word
 
 
+def _int_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: int, rows: np.ndarray,
+             normals: np.ndarray, reps: tuple[int, ...] | None) -> tuple | None:
+    """The first hit of size n as (relation, mask, variables' world masks,
+    world), or None, evaluated on the ints of `_int_leaves`: the whole size
+    at once, one int a slot."""
+    norm, edges, variables = _int_leaves(n, rows.tobytes(), normals.tobytes(), k, reps)
+    width = norm.width
+    size = n * width
+
+    def ex(x: int) -> int:  # rotated by d planes, plane w holds plane w + d mod n, kept where w sees it
+        out = x & edges[0]
+        for d in range(1, n):
+            out |= (x >> d * width | x << size - d * width) & edges[d]
+        return out
+
+    full = (1 << size) - 1
+    vals = _run(program, (0, norm, *variables), ex, full)
+    mask = hit(norm, *(vals[r] for r in roots))
+    if not mask:
+        return None
+    pairs = full ^ _nowhere(norm, mask)  # the hit planes ORed over the worlds
+    b = (pairs & -pairs).bit_length() - 1  # the first (frame, valuation) pair in canonical order
+    world = next(w for w in range(n) if mask >> w * width + b & 1)
+    nvals = width // (rows.shape[1] * normals.size)
+    i, m = divmod(b // nvals, normals.size)
+    return rows[:, i], normals[m], [sum((p >> w * width + b & 1) << w for w in range(n)) for p in variables], world
+
+
+def _array_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: int, rows: np.ndarray,
+               normals: np.ndarray, table: tuple | None, nvals: int) -> tuple | None:
+    """The first hit of size n as `_int_hit` gives it, evaluated on numpy
+    chunks; `table` is the `_table` the scan reads, or None for the plain
+    scan of every valuation code.  A chunk crosses `rstep` relations with
+    `gstep` consecutive masks and `vstep` valuations, `fstep` frames as
+    `_geometry` sizes them by the bytes of the program's planes: all masks
+    of `fstep // masks` relations when they fit, else one relation and
+    `fstep` masks at a time, so the bits of the (relations, masks, words)
+    planes lie in canonical order."""
+    vstep, fstep, used, word = _geometry(len(program), n, nvals)
+    words = vstep // used
+    full = word.type((1 << used) - 1)
+    bit = np.arange(n, dtype=rows.dtype)[:, None]
+    gstep = min(fstep, normals.size)
+    rstep = fstep // gstep
+    norms = np.multiply(normals >> bit & 1, full, dtype=word)[:, None, :, None]
+    for r0 in range(0, rows.shape[1], rstep):
+        fr = rows[:, r0:r0 + rstep]
+        succ = np.multiply(fr[:, None] >> bit & 1, full, dtype=word)[..., None, None]
+
+        def ex(x: np.ndarray) -> np.ndarray:  # the successor words, masked by the operand, ORed
+            return np.bitwise_or.reduce(succ & x, axis=1)
+
+        for g0 in range(0, normals.size, gstep):
+            norm = norms[:, :, g0:g0 + gstep]
+            for lo in range(0, nvals, vstep):
+                planes = _planes(n, k, lo, lo + vstep) if table is None else table[0]
+                vals = _run(program, (full ^ full, norm, *(p[:, None] for p in planes)), ex, full)
+                mask = hit(norm, *(vals[r] for r in roots))
+                if mask.any():
+                    mask = np.broadcast_to(mask, (n, fr.shape[1], norm.shape[2], words))
+                    pairs = np.bitwise_or.reduce(mask, axis=0)
+                    i, m, t = map(int, np.unravel_index(np.flatnonzero(pairs)[0], pairs.shape))
+                    bits = int(pairs[i, m, t])
+                    j = (bits & -bits).bit_length() - 1
+                    world = int(np.flatnonzero(mask[:, i, m, t] >> j & 1)[0])
+                    valuation = [sum((b >> j & 1) << w for w, b in enumerate(p[:, 0, t].tolist())) for p in planes]
+                    return fr[:, i], normals[g0 + m], valuation, world
+    return None
+
+
 def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Callable[..., np.ndarray],
                all_points: bool = False) -> tuple[Model, int] | None:
     """First model and world, in canonical order, in the bit planes that
-    `hit(normals, *extensions of formulas)` returns.  `hit` must also work on
-    ints, as world masks: the witness is re-verified on the scalar
-    `extension` of each formula.
+    `hit(normals, *extensions of formulas)` returns.  `hit` must work on
+    both forms of a slot, ints and arrays, and on the witness's scalar
+    `extension` of each formula, world masks with the normal points as a
+    `_PlaneInt` of width 1, where the witness is re-verified.
 
-    A chunk crosses `rstep` relations with `gstep` consecutive masks and
-    `vstep` valuations, `fstep` frames as `_geometry` sizes them by the
-    bytes of the program's planes: all masks of `fstep // masks` relations
-    when they fit, else one relation and `fstep` masks at a time, so the
-    bits of the (relations, masks, words) planes lie in canonical order.
+    Each size runs in one of two forms, picked by its bits a slot, n worlds
+    x relations x masks x valuations: up to `_INT_BITS` the whole size is
+    one chunk of Python ints, `_int_hit`, else numpy chunks, `_array_hit`.
     The relations are the cached `_frame_table` of the class's relational
     conditions, read once per n, least in their orbits under the
     permutations of the worlds (see the module docstring).
@@ -432,50 +570,33 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     `_table` planes of the smallest valuation of each class, a shorter list
     in the same order whose first hit is the canonical one (see the module
     docstring).  The witness valuation is read from the planes the hit was
-    found on, at its word and bit.  The types are computed once, at the
-    first n with more than 64 valuations a frame."""
+    found on, at its bit.  The types are computed once, at the first n with
+    more than 64 valuations a frame."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     program, roots, names = _compile(formulas)
     k = len(names)
-    types = cache(lambda: _representatives(program, roots, k))
-    relational = replace(fc, all_normal=False)  # the key of the relations' table
+    relational = _relational(fc)
+    reps = None
     for n in range(1, max_n + 1):
         # up to 64 valuations a frame fill one word, and a shorter table saves no word operation
-        reps = types() if k * n > 6 else None
+        if k * (n - 1) <= 6 < k * n:
+            reps = _representatives(program, roots, k)
         table = None if reps is None else _table(n, k, reps)
         nvals = 1 << (k * n) if table is None else table[1]
-        vstep, fstep, used, word = _geometry(len(program), n, nvals)
-        words = vstep // used
-        full = word.type((1 << used) - 1)
         rows, normals = _frame_table(n, relational), _normals(n, fc, all_points)
-        bit = np.arange(n, dtype=rows.dtype)[:, None]
-        gstep = min(fstep, normals.size)
-        rstep = fstep // gstep
-        norms = np.multiply(normals >> bit & 1, full, dtype=word)[:, None, :, None]
-        for r0 in range(0, rows.shape[1], rstep):
-            fr = rows[:, r0:r0 + rstep]
-            succ = np.multiply(fr[:, None] >> bit & 1, full, dtype=word)[..., None, None]
-            for g0 in range(0, normals.size, gstep):
-                norm = norms[:, :, g0:g0 + gstep]
-                for lo in range(0, nvals, vstep):
-                    planes = _planes(n, k, lo, lo + vstep) if table is None else table[0]
-                    vals = _run(program, (full ^ full, norm, *(p[:, None] for p in planes)), succ, full)
-                    mask = hit(norm, *(vals[r] for r in roots))
-                    if mask.any():
-                        mask = np.broadcast_to(mask, (n, fr.shape[1], norm.shape[2], words))
-                        pairs = np.bitwise_or.reduce(mask, axis=0)
-                        i, m, t = map(int, np.unravel_index(np.flatnonzero(pairs)[0], pairs.shape))
-                        bits = int(pairs[i, m, t])
-                        j = (bits & -bits).bit_length() - 1
-                        world = int(np.flatnonzero(mask[:, i, m, t] >> j & 1)[0])
-                        frame = Frame(n, tuple(int(r) for r in fr[:, i]), int(normals[g0 + m]))
-                        model = Model(frame, {x: sum((b >> j & 1) << w for w, b in enumerate(p[:, 0, t].tolist()))
-                                              for x, p in zip(names, planes)})
-                        if (not satisfies_class(frame, fc)
-                                or not hit(frame.normals, *(extension(model, f) for f in formulas)) >> world & 1):
-                            raise RuntimeError("search witness failed re-verification")
-                        return model, world
+        if n * rows.shape[1] * normals.size * nvals <= _INT_BITS:
+            found = _int_hit(program, roots, hit, n, k, rows, normals, None if table is None else reps)
+        else:
+            found = _array_hit(program, roots, hit, n, k, rows, normals, table, nvals)
+        if found is not None:
+            rel, nm, valuation, world = found
+            frame = Frame(n, tuple(int(r) for r in rel), int(nm))
+            model = Model(frame, dict(zip(names, valuation)))
+            if (not satisfies_class(frame, fc) or not hit(_PlaneInt(frame.normals, n, 1),
+                                                          *(extension(model, f) for f in formulas)) >> world & 1):
+                raise RuntimeError("search witness failed re-verification")
+            return model, world
     return None
 
 
@@ -511,10 +632,18 @@ class CountermodelReport:
         return report
 
 
+def _outside(normals: np.ndarray | _PlaneInt, x: np.ndarray | int) -> np.ndarray | int:
+    """The normal worlds outside `x`, the countermodel's hit.  On arrays it
+    is `normals & ~x`, where `~x` is one pass that broadcasts nothing; on
+    ints `normals ^ (normals & x)`, since `~x` of a packed int makes a
+    negative copy that costs ten times an `&`."""
+    return normals ^ (normals & x) if isinstance(normals, _PlaneInt) else normals & ~x
+
+
 def find_countermodel(f: Formula, fc: FrameClass, max_n: int) -> CountermodelReport | None:
     """First model (canonical order, sizes 1..max_n) falsifying `f` at a
     normal world, or None."""
-    wit = _first_hit((f,), fc, max_n, lambda normals, v: normals & ~v)
+    wit = _first_hit((f,), fc, max_n, _outside)
     return None if wit is None else CountermodelReport._checked(f, fc, *wit)
 
 
@@ -523,18 +652,28 @@ def valid_up_to(f: Formula, fc: FrameClass, max_n: int) -> bool:
     return find_countermodel(f, fc, max_n) is None
 
 
-def _rule_hit(normals: np.ndarray, conclusion: np.ndarray, *premises: np.ndarray) -> np.ndarray:
+def _rule_hit(normals: np.ndarray | _PlaneInt, conclusion: np.ndarray | int,
+              *premises: np.ndarray | int) -> np.ndarray | int:
     """Normal worlds failing the conclusion, in models of every premise."""
-    out = normals & ~conclusion
+    out = _outside(normals, conclusion)
     for p in premises:
-        out = out & ~_somewhere(normals & ~p)
+        out = out & _nowhere(normals, _outside(normals, p))
     return out
 
 
-def _somewhere(x: np.ndarray | int) -> np.ndarray | int:
-    """Where some world is in `x`: the OR of an array's world planes, one bit
-    per (frame, valuation) pair; -1 (all ones) or 0 for an int's world mask."""
-    return np.bitwise_or.reduce(x, axis=0) if isinstance(x, np.ndarray) else -(x != 0)
+def _nowhere(normals: np.ndarray | _PlaneInt, x: np.ndarray | int) -> np.ndarray | int:
+    """Where no world is in `x`, on every world, for `x` of the form of
+    `normals`.  On arrays it is the complement of the OR of the world
+    planes, which broadcasts over the worlds; on ints, of the OR of the n
+    planes of `width` bits, copied to each."""
+    if not isinstance(normals, _PlaneInt):
+        return ~np.bitwise_or.reduce(x, axis=0)
+    n, width = normals.n, normals.width
+    some = x
+    for w in range(1, n):
+        some |= x >> w * width
+    some &= (1 << width) - 1
+    return ((1 << n * width) - 1) ^ (some | sum(some << w * width for w in range(1, n)))
 
 
 def rule_probe_witness(

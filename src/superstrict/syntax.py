@@ -28,6 +28,7 @@ memory.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -322,52 +323,36 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True, slots=True)
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
 _INFIX: dict[str, tuple[int, type]] = {"&": (3, And), "|": (2, Or), "->": (1, Imp), "=>": (1, Strict),
                                         "|>": (1, Ssi), "||>": (1, Sssi)}  # symbol -> (binding level, node)
 _PREFIX: dict[str, Callable[[Formula], Formula]] = {"~": neg, "box": Box, "dia": Dia}  # they bind tightest
 _KEYWORDS = {"bot", "top", "box", "dia"}
 _SYMBOLS = sorted(["(", ")", *_INFIX, "~"], key=len, reverse=True)  # "||>" before "|>" before "|"
+# Spaces other than newlines, then one of: a newline, a run of word characters, a symbol, or any other
+# character but a space.  On str, `\w` is `str.isalnum()` or "_" and `\s` is `str.isspace()`.
+_TOKEN = re.compile(r"[^\S\n]*(?:(\n)|(\w+)|(" + "|".join(map(re.escape, _SYMBOLS)) + r")|(\S))")
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line, col = line + 1, 1
-            i += 1
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The tokens of `text` as (kind, text, line, column), ending in an
+    "eof" token; a word is a keyword or an identifier, which starts with a
+    letter or "_"."""
+    toks: list[tuple[str, str, int, int]] = []
+    line, start = 1, 0  # start: the offset of the line's first character
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        i = m.start(group)
+        if group == 1:
+            line, start = line + 1, i + 1
             continue
-        if c.isspace():
-            col += 1
-            i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            toks.append(_Tok(word if word in _KEYWORDS else "ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(_Tok(sym, sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
+        word = m.group(group)
+        if group == 2 and (word[0].isalpha() or word[0] == "_"):
+            toks.append((word if word in _KEYWORDS else "ident", word, line, i - start + 1))
+        elif group == 3:
+            toks.append((word, word, line, i - start + 1))
         else:
-            raise ParseError(f"unknown token {c!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
+            raise ParseError(f"unknown token {word[0]!r}", line, i - start + 1)
+    toks.append(("eof", "", line, len(text) - start + 1))
     return toks
 
 
@@ -382,15 +367,14 @@ def parse(text: str) -> Formula:
     operands: list[Formula] = []
     pending: list[tuple[int, str]] = []
     want_operand = True
-    for t in _tokenize(text):
-        k = t.kind
+    for k, word, line, col in _tokenize(text):
         if want_operand:
             if k in _PREFIX or k == "(":
                 pending.append((4 if k in _PREFIX else 0, k))
                 continue
             if k not in ("ident", "bot", "top"):
-                raise ParseError(f"expected a formula, found {t.text or 'end of input'!r}", t.line, t.col)
-            operands.append(Var(t.text) if k == "ident" else Bot() if k == "bot" else top())
+                raise ParseError(f"expected a formula, found {word or 'end of input'!r}", line, col)
+            operands.append(Var(word) if k == "ident" else Bot() if k == "bot" else top())
             want_operand = False
             continue
         # an operand is complete: apply what binds tighter than `k`, back to the innermost "("
@@ -404,15 +388,15 @@ def parse(text: str) -> Formula:
                 operands[-1] = _INFIX[op][1](operands[-1], right)
         if k in _INFIX:
             if pending and pending[-1][0] == level and pending[-1][1] != k:
-                raise ParseError(f"cannot mix {pending[-1][1]!r} and {k!r} without parentheses", t.line, t.col)
+                raise ParseError(f"cannot mix {pending[-1][1]!r} and {k!r} without parentheses", line, col)
             pending.append((level, k))
             want_operand = True
         elif k == ")" and pending:
             pending.pop()
         elif pending:
-            raise ParseError(f"expected ')', found {t.text or 'end of input'!r}", t.line, t.col)
+            raise ParseError(f"expected ')', found {word or 'end of input'!r}", line, col)
         elif k != "eof":
-            raise ParseError(f"unexpected {t.text!r}", t.line, t.col)
+            raise ParseError(f"unexpected {word!r}", line, col)
     return operands.pop()  # the last token is eof
 
 

@@ -10,7 +10,47 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator
 
-from superstrict.syntax import And, Bot, Box, Dia, Formula, Imp, Or, Ssi, Sssi, Strict, Var, fold
+from superstrict.syntax import And, Bot, Box, Dia, Formula, Imp, Or, ParseError, Ssi, Sssi, Strict, Var, fold
+
+_KEYWORDS = {"bot", "top", "box", "dia"}
+_SYMBOLS = ["||>", "|>", "->", "=>", "(", ")", "&", "|", "~"]
+
+
+def tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The tokens of `text` as (kind, text, line, column), one character at
+    a time with `str.isspace`, `str.isalpha` and `str.isalnum`: the
+    package's tokenizer before it read them with one regular expression."""
+    toks = []
+    line, col, i = 1, 1, 0
+    while i < len(text):
+        c = text[i]
+        if c == "\n":
+            line, col = line + 1, 1
+            i += 1
+            continue
+        if c.isspace():
+            col += 1
+            i += 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            toks.append((word if word in _KEYWORDS else "ident", word, line, col))
+            col += j - i
+            i = j
+            continue
+        for sym in _SYMBOLS:
+            if text.startswith(sym, i):
+                toks.append((sym, sym, line, col))
+                col += len(sym)
+                i += len(sym)
+                break
+        else:
+            raise ParseError(f"unknown token {c!r}", line, col)
+    toks.append(("eof", "", line, col))
+    return toks
 
 
 def eval_json(mj: dict, w: int, f: Formula) -> bool:

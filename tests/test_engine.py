@@ -20,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 
 from superstrict import search
-from superstrict.catalog import CATALOG, CATALOG_BY_NAME
+from superstrict.catalog import CATALOG, CATALOG_BY_NAME, run_suite
 from superstrict.search import (
     _CODES,
+    _INT_BITS,
     _PAIRS,
     _compile,
     _first_hit,
@@ -44,6 +45,8 @@ from superstrict.search import (
 from superstrict.semantics import NAMED_CLASSES, S2, S2_0, S3, Frame, FrameClass, frame_to_json, model_to_json
 from superstrict.syntax import And, Box, Or, Var, desugar, parse, variables
 
+import test_cli
+import test_search
 from oracles import eval_json, extensions, naive_frames
 from strategies import formulas
 
@@ -118,13 +121,15 @@ def full_table(n, fc):
 
 
 # The engine's reductions, each switched off by the `search` attributes it
-# reads: no type table, the full relation table, and one frame a chunk.
+# reads: no type table, the full relation table, one frame a chunk, and
+# numpy chunks at every size.
 SWITCHES = {
     "types": {"_representatives": lambda *args: None},
     "orbits": {"_frame_table": full_table},
     "chunks": {"_CHUNK_BYTES": 1},
+    "ints": {"_INT_BITS": 0},
 }
-SWITCHES["all"] = SWITCHES["types"] | SWITCHES["orbits"] | SWITCHES["chunks"]
+SWITCHES["all"] = SWITCHES["types"] | SWITCHES["orbits"] | SWITCHES["chunks"] | SWITCHES["ints"]
 
 
 def switch_off(mp, *switches):
@@ -552,6 +557,8 @@ test_catalog_witness_does_not_depend_on_the_orbit_reduction = catalog_test("orbi
 test_random_formulas_witness_does_not_depend_on_the_orbit_reduction = random_test("orbits")
 test_witness_does_not_depend_on_the_budget = catalog_test("chunks")
 test_random_formulas_witness_does_not_depend_on_the_budget = random_test("chunks")
+test_catalog_witness_does_not_depend_on_the_int_path = catalog_test("ints")
+test_random_formulas_witness_does_not_depend_on_the_int_path = random_test("ints")
 test_catalog_entry_reduced_matches_plain = catalog_test("all")
 test_random_formulas_reduced_match_plain = random_test("all")
 
@@ -703,3 +710,104 @@ PLAIN_SCAN_CASES = [
 def test_on_the_plain_scan(case, monkeypatch):
     plain_scan(monkeypatch)
     case()
+
+
+# Each size runs on Python ints up to `_INT_BITS` bits a slot, n worlds x
+# relations x masks x valuations, else on numpy chunks; the "ints" switch
+# above runs numpy at every size.  One int a slot holds the whole size, its
+# planes in canonical (relation, mask, valuation) order, so the first hit is
+# the lowest bit of the planes ORed and its world the lowest plane holding it.
+def forms_of_run(mp):
+    """The (n, form) of each `_run` call from now on: "int" or "array"."""
+    calls = []
+    run = search._run
+
+    def counted(program, leaves, ex, full):
+        calls.append((leaves[1].n, "int") if isinstance(full, int) else (leaves[1].shape[0], "array"))
+        return run(program, leaves, ex, full)
+
+    mp.setattr(search, "_run", counted)
+    return calls
+
+
+def test_small_sizes_run_on_ints_and_large_ones_on_numpy(monkeypatch):
+    # counted, not timed: a change that moved them back would fail here
+    calls = forms_of_run(monkeypatch)
+    run_suite(2)
+    assert len(calls) > len(CATALOG) and {form for _, form in calls} == {"int"}
+    calls.clear()
+    # super-strict detachment over s2 at n = 4: 218 relations x 15 masks x 256 valuations on 4 worlds,
+    # 3.35 Mbit a slot, where numpy computes a slot that never meets the normal points once per relation
+    assert rule_probe_witness([parse("p |> q"), parse("p")], parse("q"), S2, 4) is None
+    assert {form for n, form in calls if n < 4} == {"int"} and len([n for n, _ in calls if n < 4]) == 3
+    assert {form for n, form in calls if n == 4} == {"array"}
+
+
+CHEAP_AT_THREE = sorted(set(NAMED_CLASSES) - {"s2_0", "k", "s2"})  # the oracle takes seconds on these at n = 3
+
+
+@pytest.mark.parametrize("class_name", sorted(NAMED_CLASSES))
+@settings(max_examples=5, deadline=None)
+@given(formulas(max_leaves=4), formulas(max_leaves=3))
+def test_ints_at_every_size_agree_with_oracle(class_name, f, other):
+    max_n = 3 if class_name in CHEAP_AT_THREE else 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_INT_BITS", 1 << 40)
+        calls = forms_of_run(mp)
+        assert_all_searches_agree(f, other, NAMED_CLASSES[class_name], max_n)
+    assert {form for _, form in calls} == {"int"}
+
+
+# 15 variables, each only under `dia`, so no two valuations share a type:
+# at n = 1 over s2_0 a slot is 2 relations x 1 mask x 2^15 valuations, 2^16
+# bits, the budget exactly.  The formula fails only where world 0 sees
+# itself, the last relation, with every variable true, the last valuation.
+AT_BUDGET = parse(" & ".join(f"dia x{i:02}" for i in range(15)) + " -> bot")
+AT_BUDGET_WITNESS = (1, 0, {"worlds": 1, "rel": [[0]], "normals": [0], "val": {f"x{i:02}": [0] for i in range(15)}})
+
+
+def test_slot_at_the_int_budget_and_one_bit_above():
+    assert reps_of(AT_BUDGET) is None and _INT_BITS == 1 << 16
+    with pytest.MonkeyPatch.context() as mp:
+        calls = forms_of_run(mp)
+        assert countermodel_key(AT_BUDGET, S2_0, 1) == AT_BUDGET_WITNESS
+        assert calls == [(1, "int")]
+        calls.clear()
+        mp.setattr(search, "_INT_BITS", (1 << 16) - 1)  # the slot is now one bit above the budget
+        assert countermodel_key(AT_BUDGET, S2_0, 1) == AT_BUDGET_WITNESS
+        assert calls == [(1, "array")]
+    assert not eval_json(AT_BUDGET_WITNESS[2], 0, AT_BUDGET)
+
+
+def test_int_witnesses_at_the_ends_of_the_planes(monkeypatch):
+    calls = forms_of_run(monkeypatch)
+    # the last bit of the slot: relation 1 of 2, mask 0 of 1, valuation 2^15 - 1 of 2^15, world 0
+    assert countermodel_key(AT_BUDGET, S2_0, 1) == AT_BUDGET_WITNESS
+    # the last relation of 10, the full one, the last of its 3 masks, both worlds normal, and world 1:
+    # a p-world and a non-p world that see each other and themselves, with p at world 1 the first such valuation
+    f = parse("p -> ~(dia p & dia ~p & box (dia p & dia ~p) & box box top)")
+    key = (2, 1, {"worlds": 2, "rel": [[0, 1], [0, 1]], "normals": [0, 1], "val": {"p": [1]}})
+    assert _frame_table(2, S2_0)[:, -1].tolist() == [3, 3] and _normals(2, S2_0, False)[-1] == 3
+    assert countermodel_key(f, S2_0, 2) == oracle_countermodel(f, S2_0, 2) == key
+    assert probe_key(rule_probe_witness([parse("p -> p")], f, S2_0, 2)) == key
+    assert {form for _, form in calls} == {"int"}
+    with pytest.MonkeyPatch.context() as mp:  # numpy finds the same
+        switch_off(mp, "ints")
+        assert countermodel_key(f, S2_0, 2) == key
+    # world 2, the top plane of three, at 3 x 104 x 7 x 512 bits a slot: numpy unless forced onto ints
+    calls.clear()
+    monkeypatch.setattr(search, "_INT_BITS", 1 << 40)
+    assert countermodel_key(THREE_SUCCESSORS, S2_0, 3) == THREE_SUCCESSORS_WITNESS
+    assert calls == [(1, "int"), (2, "int"), (3, "int")]
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda mp: test_search.TestWitnessReverification.test_wrong_extension(None, mp), id="search"),
+    pytest.param(lambda mp: test_cli.TestValidCommand.test_internal_fault_is_not_an_input_error(None, mp), id="cli"),
+])
+def test_run_wrappers_on_numpy(case, monkeypatch):
+    # the tests that wrap `_run` run on ints at these sizes; run them on numpy chunks too
+    switch_off(monkeypatch, "ints")
+    calls = forms_of_run(monkeypatch)
+    case(monkeypatch)
+    assert calls and {form for _, form in calls} == {"array"}

@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superstrict.catalog import CATALOG
@@ -21,6 +21,7 @@ from superstrict.syntax import (
     Sssi,
     Strict,
     Var,
+    _tokenize,
     desugar,
     formula_from_json,
     formula_to_json,
@@ -40,7 +41,7 @@ from superstrict.syntax import (
     weight,
 )
 
-from oracles import pretty_bottom_up
+from oracles import pretty_bottom_up, tokenize
 from strategies import extensional_formulas, formulas
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -130,6 +131,32 @@ def test_parse_corpus_replay():
         except ParseError as exc:
             got = {"input": entry["input"], "error": str(exc)}
         assert got == entry
+
+
+def token_outcome(tokenize, text):
+    """The tokens of `text`, or the message and position of its ParseError."""
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+# Valid and invalid text: the grammar's words and symbols, pieces of them,
+# spaces and newlines, non-ASCII letters, digits and spaces, and any other
+# character; and printed formulas.
+TOKEN_PIECES = ["p", "q1", "_x", "box", "dia", "top", "bot", "boxp", "(", ")", "&", "|", "~", "->", "=>", "|>", "||>",
+                "-", ">", "=", "|||>", " ", "\t", "\n", "\r\n", "\x0b", "\x1c", "\xa0", "\u2028", "\u3000",
+                "é", "ß", "Ω", "日", "_é", "é1", "1", "٣", "²", "½", "\u0301", "\u200b", "!"]
+TOKEN_TEXT = st.one_of(
+    st.lists(st.one_of(st.sampled_from(TOKEN_PIECES), st.characters()), max_size=30).map("".join),
+    formulas(max_leaves=6).map(pretty),
+)
+
+
+@settings(max_examples=1000)
+@given(TOKEN_TEXT)
+def test_tokenizer_matches_the_character_scan(text):
+    assert token_outcome(_tokenize, text) == token_outcome(tokenize, text)
 
 
 def test_translate_corpus_replay():
