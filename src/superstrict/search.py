@@ -67,14 +67,21 @@ So:
   frame in canonical order, the lowest plane holding that bit its world,
   and the variables' planes at word t and bit j its valuation.
 
-A search is a hit predicate on the program's results, which works on both
-forms and on the world masks of a single model.  Frame and Model objects
-are built for the witness only.  Every search runs through `_first_hit`,
-which re-verifies the witness once: its frame against the class, the hit
-predicate on the scalar extensions of :mod:`superstrict.semantics`.  A
-failure there is an internal fault and raises `RuntimeError`;
-`CountermodelReport` validates its public construction with `ValueError`,
-and takes a witness `_first_hit` has checked without checking it again.
+A search is a hit predicate on the program's results, `hit(normals, full,
+some, *results)`, built from `&`, `|` and `^`, the all-ones value `full` and
+`some(x)`, "some world is in x", copied to every world.  Each form defines
+`some` beside its "some successor is in", so one predicate serves the ints,
+the numpy chunks and the world masks of a single model.  A countermodel is
+`normals & (full ^ x)`, a normal world outside `x`; a rule-probe witness
+also takes `full ^ some(normals & (full ^ p))` for each premise `p`, no
+normal world outside it; a definability witness is `a ^ b`.  Frame and
+Model objects are built for the witness only.  Every search runs through
+`_first_hit`, which re-verifies the witness once: its frame against the
+class, the hit predicate on the scalar extensions of
+:mod:`superstrict.semantics`.  A failure there is an internal fault and
+raises `RuntimeError`; `CountermodelReport` validates its public
+construction with `ValueError`, and takes a witness `_first_hit` has
+checked without checking it again.
 
 The scan reads one valuation per propositional type.  A formula's truth
 depends on the valuation only through its maximal propositional
@@ -298,31 +305,19 @@ def _planes(n: int, k: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
     return _pack(n, _groups(np.arange(lo, hi, dtype=np.uint64), n, k))
 
 
-class _PlaneInt(int):
-    """The normal points on ints, n world planes of `width` bits, a world
-    mask of one model width 1.  The hit predicates get it as `normals`, and
-    `_outside` and `_nowhere` read from it the form and layout of their
-    operands, which the operators of int return as plain ints."""
-
-    def __new__(cls, value: int, n: int, width: int) -> _PlaneInt:
-        self = super().__new__(cls, value)
-        self.n, self.width = n, width
-        return self
-
-
 @lru_cache(maxsize=64)
 def _int_leaves(n: int, relations: bytes, masks: bytes, k: int,
-                reps: tuple[int, ...] | None) -> tuple[_PlaneInt, tuple[int, ...], tuple[int, ...]]:
-    """The leaves of a size that runs on ints, each n world planes of
-    `width` = relations x masks x valuations bits, bit (i * masks + m) *
-    valuations + v of plane w its value at world w of frame (relation i,
-    mask m) under valuation v: the normal points; the edge masks of `ex`,
-    plane w of mask d set where w sees w + d mod n; and the variables'
-    planes over the `_planes` codes or, given `reps`, the `_table`
-    valuations, alike in every frame.  The relations and masks come as the
-    bytes of their tables, so a search reads the leaves of the very table
-    `_frame_table` gave it.  At most 64 are kept, each 1 + n + k ints of at
-    most `_INT_BITS` bits."""
+                reps: tuple[int, ...] | None) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """The plane width and the leaves of a size that runs on ints, each n
+    world planes of `width` = relations x masks x valuations bits, bit
+    (i * masks + m) * valuations + v of plane w its value at world w of
+    frame (relation i, mask m) under valuation v: the normal points; the
+    edge masks of `ex`, plane w of mask d set where w sees w + d mod n; and
+    the variables' planes over the `_planes` codes or, given `reps`, the
+    `_table` valuations, alike in every frame.  The relations and masks
+    come as the bytes of their tables, so a search reads the leaves of the
+    very table `_frame_table` gave it.  At most 64 are kept, each 1 + n + k
+    ints of at most `_INT_BITS` bits."""
     rows = np.frombuffer(relations, _reversal(n).dtype).reshape(n, -1)
     normals = np.frombuffer(masks, _reversal(n).dtype)
     planes, nvals = (_planes(n, k, 0, 1 << k * n), 1 << k * n) if reps is None else _table(n, k, reps)
@@ -332,11 +327,11 @@ def _int_leaves(n: int, relations: bytes, masks: bytes, k: int,
     def bits(a: np.ndarray) -> int:  # `a`, broadcast to `shape`, as one int: the last axis the lowest bits
         return int.from_bytes(np.packbits(np.broadcast_to(a, shape), axis=None, bitorder="little").tobytes(), "little")
 
-    norm = _PlaneInt(bits((normals >> worlds & 1)[:, None, :, None]), n, shape[1] * shape[2] * nvals)
+    norm = bits((normals >> worlds & 1)[:, None, :, None])
     edges = tuple(bits((rows >> (worlds + d) % n & 1)[:, :, None, None]) for d in range(n))
     variables = tuple(bits(np.unpackbits(p.view(np.uint8), axis=-1, bitorder="little")[:, :, None, :nvals])
                       for p in planes)
-    return norm, edges, variables
+    return shape[1] * shape[2] * nvals, norm, edges, variables
 
 
 def enumerate_frames(n: int, fc: FrameClass) -> Iterator[Frame]:
@@ -409,32 +404,24 @@ def _representatives(program: Program, roots: Sequence[int], k: int) -> tuple[in
 
     A slot is propositional when it is bot, a variable, or a conjunction,
     disjunction or implication of propositional slots; it is maximal when it
-    is a root or an operand of an instruction that is not propositional."""
+    is a root or an operand of an instruction that is not propositional.
+    The slots are evaluated by `_run` on the 2^k assignments of one world,
+    where no world is normal or a successor."""
     if 1 << k > _PAIRS:
         return None
     full = (1 << (1 << k)) - 1  # bit a of a slot's int: its truth under assignment a
-    exts: list[int | None] = []
+    # variable i, bit k - 1 - i of an assignment: false under s assignments, then true under s, and so on
+    variables = [((1 << s) - 1 << s) * (full // ((1 << 2 * s) - 1)) for s in (1 << k - 1 - i for i in range(k))]
+    vals = _run(program, (0, 0, *variables), lambda x: 0, full)
+    propositional: list[bool] = []
     maximal = set(roots)
     for op, a, b in program:
-        match op:
-            case "leaf" if a >= 2:  # variable a - 2, bit k + 1 - a of an assignment
-                s = 1 << k + 1 - a  # false under s assignments, then true under s, and so on
-                v = ((1 << s) - 1 << s) * (full // ((1 << 2 * s) - 1))
-            case "leaf":  # bot, or the normal points, which are not propositional
-                v = 0 if a == 0 else None
-            case "ex":
-                v = None
-                maximal.add(a)
-            case _:
-                x, y = exts[a], exts[b]
-                if x is None or y is None:
-                    v = None
-                    maximal.update((a, b))
-                else:
-                    v = x & y if op == "and" else x | y if op == "or" else (full ^ x) | y
-        exts.append(v)
-    atoms = {exts[s] for s in maximal} - {None}
-    if atoms >= {exts[s] for s, (op, a, _) in enumerate(program) if op == "leaf" and a >= 2}:
+        p = a != 1 if op == "leaf" else op != "ex" and propositional[a] and propositional[b]
+        if not p and op != "leaf":
+            maximal.update((a, b))
+        propositional.append(p)
+    atoms = {vals[s] for s in maximal if propositional[s]}
+    if atoms >= set(variables):
         return None  # every variable an atom: each assignment its own class
     classes = [full]
     for x in atoms:
@@ -448,7 +435,8 @@ def _run(program: Program, leaves: Sequence, ex: Callable, full) -> list:
     """Every slot's value on a chunk, in the form of its leaves: bot, the
     normal points and the variables' planes.  `&`, `|` and `^` act alike on
     ints and on arrays, so only "some successor is in" depends on the form,
-    and `ex` computes it from the operand's value."""
+    and `ex` computes it from the operand's value.  This is the one
+    evaluator of a program: `_representatives` runs it too, on one world."""
     vals: list = []
     for op, a, b in program:
         match op:
@@ -486,8 +474,7 @@ def _int_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: i
     """The first hit of size n as (relation, mask, variables' world masks,
     world), or None, evaluated on the ints of `_int_leaves`: the whole size
     at once, one int a slot."""
-    norm, edges, variables = _int_leaves(n, rows.tobytes(), normals.tobytes(), k, reps)
-    width = norm.width
+    width, norm, edges, variables = _int_leaves(n, rows.tobytes(), normals.tobytes(), k, reps)
     size = n * width
 
     def ex(x: int) -> int:  # rotated by d planes, plane w holds plane w + d mod n, kept where w sees it
@@ -496,12 +483,19 @@ def _int_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: i
             out |= (x >> d * width | x << size - d * width) & edges[d]
         return out
 
+    def some(x: int) -> int:  # the n planes ORed, copied to every plane
+        one = x
+        for w in range(1, n):
+            one |= x >> w * width
+        one &= (1 << width) - 1
+        return one | sum(one << w * width for w in range(1, n))
+
     full = (1 << size) - 1
     vals = _run(program, (0, norm, *variables), ex, full)
-    mask = hit(norm, *(vals[r] for r in roots))
+    mask = hit(norm, full, some, *(vals[r] for r in roots))
     if not mask:
         return None
-    pairs = full ^ _nowhere(norm, mask)  # the hit planes ORed over the worlds
+    pairs = some(mask)  # the hit planes ORed over the worlds
     b = (pairs & -pairs).bit_length() - 1  # the first (frame, valuation) pair in canonical order
     world = next(w for w in range(n) if mask >> w * width + b & 1)
     nvals = width // (rows.shape[1] * normals.size)
@@ -526,6 +520,10 @@ def _array_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k:
     gstep = min(fstep, normals.size)
     rstep = fstep // gstep
     norms = np.multiply(normals >> bit & 1, full, dtype=word)[:, None, :, None]
+
+    def some(x: np.ndarray) -> np.ndarray:  # the world planes ORed, broadcast to every world
+        return np.bitwise_or.reduce(x, axis=0, keepdims=True)
+
     for r0 in range(0, rows.shape[1], rstep):
         fr = rows[:, r0:r0 + rstep]
         succ = np.multiply(fr[:, None] >> bit & 1, full, dtype=word)[..., None, None]
@@ -538,10 +536,10 @@ def _array_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k:
             for lo in range(0, nvals, vstep):
                 planes = _planes(n, k, lo, lo + vstep) if table is None else table[0]
                 vals = _run(program, (full ^ full, norm, *(p[:, None] for p in planes)), ex, full)
-                mask = hit(norm, *(vals[r] for r in roots))
+                mask = hit(norm, full, some, *(vals[r] for r in roots))
                 if mask.any():
                     mask = np.broadcast_to(mask, (n, fr.shape[1], norm.shape[2], words))
-                    pairs = np.bitwise_or.reduce(mask, axis=0)
+                    pairs = some(mask)[0]
                     i, m, t = map(int, np.unravel_index(np.flatnonzero(pairs)[0], pairs.shape))
                     bits = int(pairs[i, m, t])
                     j = (bits & -bits).bit_length() - 1
@@ -554,10 +552,12 @@ def _array_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k:
 def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Callable[..., np.ndarray],
                all_points: bool = False) -> tuple[Model, int] | None:
     """First model and world, in canonical order, in the bit planes that
-    `hit(normals, *extensions of formulas)` returns.  `hit` must work on
-    both forms of a slot, ints and arrays, and on the witness's scalar
-    `extension` of each formula, world masks with the normal points as a
-    `_PlaneInt` of width 1, where the witness is re-verified.
+    `hit(normals, full, some, *extensions of formulas)` returns.  `hit` may
+    use only `&`, `|`, `^`, the all-ones `full` and `some(x)`, where some
+    world is in `x`, on every world, so that it works on every form of a
+    slot: ints, arrays, and the witness's scalar `extension` of each
+    formula, world masks, where the witness is re-verified with `some(x)`
+    `full` if `x` is nonzero, else 0.
 
     Each size runs in one of two forms, picked by its bits a slot, n worlds
     x relations x masks x valuations: up to `_INT_BITS` the whole size is
@@ -593,7 +593,8 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
             rel, nm, valuation, world = found
             frame = Frame(n, tuple(int(r) for r in rel), int(nm))
             model = Model(frame, dict(zip(names, valuation)))
-            if (not satisfies_class(frame, fc) or not hit(_PlaneInt(frame.normals, n, 1),
+            full = (1 << n) - 1
+            if (not satisfies_class(frame, fc) or not hit(frame.normals, full, lambda x: full if x else 0,
                                                           *(extension(model, f) for f in formulas)) >> world & 1):
                 raise RuntimeError("search witness failed re-verification")
             return model, world
@@ -632,18 +633,10 @@ class CountermodelReport:
         return report
 
 
-def _outside(normals: np.ndarray | _PlaneInt, x: np.ndarray | int) -> np.ndarray | int:
-    """The normal worlds outside `x`, the countermodel's hit.  On arrays it
-    is `normals & ~x`, where `~x` is one pass that broadcasts nothing; on
-    ints `normals ^ (normals & x)`, since `~x` of a packed int makes a
-    negative copy that costs ten times an `&`."""
-    return normals ^ (normals & x) if isinstance(normals, _PlaneInt) else normals & ~x
-
-
 def find_countermodel(f: Formula, fc: FrameClass, max_n: int) -> CountermodelReport | None:
     """First model (canonical order, sizes 1..max_n) falsifying `f` at a
     normal world, or None."""
-    wit = _first_hit((f,), fc, max_n, _outside)
+    wit = _first_hit((f,), fc, max_n, _rule_hit)
     return None if wit is None else CountermodelReport._checked(f, fc, *wit)
 
 
@@ -652,28 +645,14 @@ def valid_up_to(f: Formula, fc: FrameClass, max_n: int) -> bool:
     return find_countermodel(f, fc, max_n) is None
 
 
-def _rule_hit(normals: np.ndarray | _PlaneInt, conclusion: np.ndarray | int,
-              *premises: np.ndarray | int) -> np.ndarray | int:
-    """Normal worlds failing the conclusion, in models of every premise."""
-    out = _outside(normals, conclusion)
+def _rule_hit(normals: np.ndarray | int, full: np.ndarray | int, some: Callable,
+              conclusion: np.ndarray | int, *premises: np.ndarray | int) -> np.ndarray | int:
+    """Normal worlds failing the conclusion, in models where no normal world
+    fails a premise; with no premise, a countermodel's hit."""
+    out = normals & (full ^ conclusion)
     for p in premises:
-        out = out & _nowhere(normals, _outside(normals, p))
+        out = out & (full ^ some(normals & (full ^ p)))
     return out
-
-
-def _nowhere(normals: np.ndarray | _PlaneInt, x: np.ndarray | int) -> np.ndarray | int:
-    """Where no world is in `x`, on every world, for `x` of the form of
-    `normals`.  On arrays it is the complement of the OR of the world
-    planes, which broadcasts over the worlds; on ints, of the OR of the n
-    planes of `width` bits, copied to each."""
-    if not isinstance(normals, _PlaneInt):
-        return ~np.bitwise_or.reduce(x, axis=0)
-    n, width = normals.n, normals.width
-    some = x
-    for w in range(1, n):
-        some |= x >> w * width
-    some &= (1 << width) - 1
-    return ((1 << n * width) - 1) ^ (some | sum(some << w * width for w in range(1, n)))
 
 
 def rule_probe_witness(
@@ -700,4 +679,4 @@ def definability_probe(f: Formula, fc: FrameClass, max_n: int) -> tuple[Model, i
     g = desugar(f)
     if g is f:  # f is already in the core language
         return None
-    return _first_hit((f, g), fc, max_n, lambda normals, a, b: a ^ b, all_points=True)
+    return _first_hit((f, g), fc, max_n, lambda normals, full, some, a, b: a ^ b, all_points=True)

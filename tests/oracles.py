@@ -2,14 +2,17 @@
 
 Everything here is written against the JSON interchange forms with plain
 sets and recursion, deliberately avoiding the bitmask machinery of the
-package, so that agreement between the two routes is meaningful.
+package, so that agreement between the two routes is meaningful.  Two
+keep an earlier form of a package function as the reference for its
+successor: `tokenize` and `representatives`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
+from superstrict.search import _PAIRS
 from superstrict.syntax import And, Bot, Box, Dia, Formula, Imp, Or, ParseError, Ssi, Sssi, Strict, Var, fold
 
 _KEYWORDS = {"bot", "top", "box", "dia"}
@@ -215,3 +218,42 @@ def pretty_bottom_up(f: Formula) -> str:
         return f"{operand(a, level + 1)} {symbol} {operand(b, level if type(g.right) is t else level + 1)}", level
 
     return fold(f, step)[0]
+
+
+def representatives(program: list[tuple], roots: Sequence[int], k: int) -> tuple[int, ...] | None:
+    """The smallest assignment of each propositional type of a compiled
+    program, as `search._representatives` returns them, with its own clauses
+    for conjunction, disjunction and implication: the package's function
+    before it evaluated the slots with `search._run`."""
+    if 1 << k > _PAIRS:
+        return None
+    full = (1 << (1 << k)) - 1  # bit a of a slot's int: its truth under assignment a
+    exts: list[int | None] = []
+    maximal = set(roots)
+    for op, a, b in program:
+        match op:
+            case "leaf" if a >= 2:  # variable a - 2, bit k + 1 - a of an assignment
+                s = 1 << k + 1 - a  # false under s assignments, then true under s, and so on
+                v = ((1 << s) - 1 << s) * (full // ((1 << 2 * s) - 1))
+            case "leaf":  # bot, or the normal points, which are not propositional
+                v = 0 if a == 0 else None
+            case "ex":
+                v = None
+                maximal.add(a)
+            case _:
+                x, y = exts[a], exts[b]
+                if x is None or y is None:
+                    v = None
+                    maximal.update((a, b))
+                else:
+                    v = x & y if op == "and" else x | y if op == "or" else (full ^ x) | y
+        exts.append(v)
+    atoms = {exts[s] for s in maximal} - {None}
+    if atoms >= {exts[s] for s, (op, a, _) in enumerate(program) if op == "leaf" and a >= 2}:
+        return None  # every variable an atom: each assignment its own class
+    classes = [full]
+    for x in atoms:
+        classes = [c for part in classes for c in (part & x, part & ~x) if c]
+    if len(classes) == 1 << k:
+        return None
+    return tuple(sorted((c & -c).bit_length() - 1 for c in classes))

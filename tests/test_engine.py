@@ -43,11 +43,11 @@ from superstrict.search import (
     rule_probe_witness,
 )
 from superstrict.semantics import NAMED_CLASSES, S2, S2_0, S3, Frame, FrameClass, frame_to_json, model_to_json
-from superstrict.syntax import And, Box, Or, Var, desugar, parse, variables
+from superstrict.syntax import And, Box, Dia, Or, Var, desugar, parse, variables
 
 import test_cli
 import test_search
-from oracles import eval_json, extensions, naive_frames
+from oracles import eval_json, extensions, naive_frames, representatives
 from strategies import formulas
 
 
@@ -108,8 +108,10 @@ def probe_key(wit):
 
 
 def search_keys(f, other, fc, max_n):
-    """The engine's first witnesses of the three searches."""
+    """The engine's first witnesses of the three searches, the rule probe
+    with one premise and with two."""
     return (countermodel_key(f, fc, max_n), probe_key(rule_probe_witness([f], other, fc, max_n)),
+            probe_key(rule_probe_witness([f, Dia(other)], other, fc, max_n)),
             probe_key(definability_probe(f, fc, max_n)))
 
 
@@ -154,13 +156,25 @@ def assert_same_without(switch, search_fn):
 
 
 def assert_all_searches_agree(f, other, fc, max_n):
-    expected = (oracle_countermodel(f, fc, max_n), oracle_rule([f], other, fc, max_n), oracle_definability(f, fc, max_n))
+    expected = (oracle_countermodel(f, fc, max_n), oracle_rule([f], other, fc, max_n),
+                oracle_rule([f, Dia(other)], other, fc, max_n), oracle_definability(f, fc, max_n))
     assert search_keys(f, other, fc, max_n) == expected
 
 
 def reps_of(*fs):
     program, roots, names = _compile(fs)
     return _representatives(program, roots, len(names))
+
+
+def search_shapes(f, other):
+    """The formula tuples `search_keys` compiles: countermodel, both rule probes, definability."""
+    return (f,), (other, f), (other, f, Dia(other)), (f, desugar(f))
+
+
+def assert_representatives_match_the_reference(f, other):
+    for fs in search_shapes(f, other):
+        program, roots, names = _compile(fs)
+        assert _representatives(program, roots, len(names)) == representatives(program, roots, len(names))
 
 
 def table_codes(n, k, reps):
@@ -238,6 +252,19 @@ def test_constant_atoms_leave_one_valuation():
     assert_all_searches_agree(f, parse("dia top"), K, 3)
     assert assert_same_without("types", partial(search_keys, f, parse("dia top"), K, 3))[0] == (
         3, 1, {"worlds": 3, "rel": [[], [2], [0]], "normals": [0, 1, 2], "val": {"p": [], "q": [], "r": []}})
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+def test_catalog_representatives_match_the_reference(entry):
+    assert_representatives_match_the_reference(entry.formula, Box(entry.formula))
+
+
+@settings(max_examples=300)
+@given(formulas(max_leaves=6), formulas(max_leaves=3))
+def test_random_representatives_match_the_reference(f, other):
+    assert_representatives_match_the_reference(f, other)
+    # all three variables, as the random searches below read them at n = 3
+    assert_representatives_match_the_reference(Or(f, And(Var("p"), And(Var("q"), Var("r")))), other)
 
 
 def test_code_tables_stay_within_the_pair_budget():
@@ -408,7 +435,8 @@ def test_ex_temporaries_stay_small():
         find_countermodel(f, fc, max_n)
     tracemalloc.start()
     try:
-        wits = [_first_hit((f,), fc, max_n, lambda normals, v: normals & ~v) for f, fc, max_n in searches]
+        wits = [_first_hit((f,), fc, max_n, lambda normals, full, some, v: normals & (full ^ v))
+                for f, fc, max_n in searches]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -718,15 +746,16 @@ def test_on_the_plain_scan(case, monkeypatch):
 # planes in canonical (relation, mask, valuation) order, so the first hit is
 # the lowest bit of the planes ORed and its world the lowest plane holding it.
 def forms_of_run(mp):
-    """The (n, form) of each `_run` call from now on: "int" or "array"."""
+    """The (n, form) of each size a search evaluates from now on: "int" or "array"."""
     calls = []
-    run = search._run
+    for form in ("int", "array"):
+        evaluate = getattr(search, f"_{form}_hit")
 
-    def counted(program, leaves, ex, full):
-        calls.append((leaves[1].n, "int") if isinstance(full, int) else (leaves[1].shape[0], "array"))
-        return run(program, leaves, ex, full)
+        def counted(program, roots, hit, n, *rest, evaluate=evaluate, form=form):
+            calls.append((n, form))
+            return evaluate(program, roots, hit, n, *rest)
 
-    mp.setattr(search, "_run", counted)
+        mp.setattr(search, f"_{form}_hit", counted)
     return calls
 
 
