@@ -41,7 +41,7 @@ So:
   operand's planes, rotation d bringing plane w + d mod n to plane w, each
   ANDed with the cached mask of the frames where w sees w + d mod n.  The
   lowest set bit of the hit planes ORed over the worlds is the first hit
-  pair in canonical order, and the lowest plane holding it its world.
+  pair in canonical order.
 * Above it, the program runs on numpy chunks of `rstep` relations x
   `gstep` consecutive masks x a range of `vstep` valuation codes, sized by
   their working set: as many frames as keep every slot's bit planes within
@@ -64,8 +64,8 @@ So:
   by the operand, over the successor axis.  The first nonzero word of the
   hit planes ORed over the worlds, in row-major order, decoded as
   (relation i, mask m, word t), and its lowest set bit j give the first hit
-  frame in canonical order, the lowest plane holding that bit its world,
-  and the variables' planes at word t and bit j its valuation.
+  frame in canonical order, and the variables' planes at word t and bit j
+  its valuation.
 
 A search is a hit predicate on the program's results, `hit(normals, full,
 some, *results)`, built from `&`, `|` and `^`, the all-ones value `full` and
@@ -76,12 +76,12 @@ the numpy chunks and the world masks of a single model.  A countermodel is
 also takes `full ^ some(normals & (full ^ p))` for each premise `p`, no
 normal world outside it; a definability witness is `a ^ b`.  Frame and
 Model objects are built for the witness only.  Every search runs through
-`_first_hit`, which re-verifies the witness once: its frame against the
-class, the hit predicate on the scalar extensions of
-:mod:`superstrict.semantics`.  A failure there is an internal fault and
-raises `RuntimeError`; `CountermodelReport` validates its public
-construction with `ValueError`, and takes a witness `_first_hit` has
-checked without checking it again.
+`_first_hit`, which re-verifies the first hit frame and valuation once:
+its frame against the class, the hit predicate on the scalar extensions of
+:mod:`superstrict.semantics`, its lowest world the witness world.  A
+failure there is an internal fault and raises `RuntimeError`;
+`CountermodelReport` validates its public construction with `ValueError`,
+and takes a witness `_first_hit` has checked without checking it again.
 
 The scan reads one valuation per propositional type.  A formula's truth
 depends on the valuation only through its maximal propositional
@@ -351,23 +351,23 @@ def _compile(formulas: Sequence[Formula]) -> tuple[Program, list[int], tuple[str
 
     Instruction i computes slot i from earlier slots; leaf 0 is bot, leaf 1
     the normal points and leaf 2 + i variable i.  Equal subformulas lower
-    to equal instructions, which are emitted once."""
-    program: Program = []
+    to equal instructions, emitted once as keys of one dict.  The arrows
+    lower through box: `a => b` is `box (a -> b)`, `a |> b` adds `ex a`."""
     slots: dict[tuple, int] = {}
 
     def emit(op: str, a: int | str = 0, b: int = 0) -> int:
-        if (op, a, b) not in slots:
-            slots[op, a, b] = len(program)
-            program.append((op, a, b))
-        return slots[op, a, b]
+        return slots.setdefault((op, a, b), len(slots))
 
     bot, norm = emit("leaf", 0), emit("leaf", 1)
 
     def neg(a: int) -> int:
         return emit("imp", a, bot)
 
-    def ssi(a: int, b: int) -> int:  # some successor in a, every one in a -> b
-        return emit("and", emit("and", emit("ex", a), neg(emit("ex", neg(emit("imp", a, b))))), norm)
+    def box(a: int) -> int:
+        return emit("and", neg(emit("ex", neg(a))), norm)
+
+    def ssi(a: int, b: int) -> int:
+        return emit("and", emit("ex", a), box(emit("imp", a, b)))
 
     def lower(g: Formula, kids: Sequence[int]) -> int:
         a, b = (*kids, 0, 0)[:2]
@@ -383,16 +383,16 @@ def _compile(formulas: Sequence[Formula]) -> tuple[Program, list[int], tuple[str
             case Sssi():
                 return emit("and", ssi(a, b), emit("ex", neg(b)))
             case Strict():
-                return emit("and", neg(emit("ex", neg(emit("imp", a, b)))), norm)
+                return box(emit("imp", a, b))
             case Box():
-                return emit("and", neg(emit("ex", neg(a))), norm)
+                return box(a)
             case Dia():
                 return emit("imp", norm, emit("ex", a))
         raise TypeError(f"not a formula: {g!r}")
 
     roots = [fold(f, lower) for f in formulas]
-    names = tuple(sorted(a for op, a, _ in program if op == "var"))
-    program = [("leaf", 2 + names.index(a), 0) if op == "var" else (op, a, b) for op, a, b in program]
+    names = tuple(sorted(a for op, a, _ in slots if op == "var"))
+    program = [("leaf", 2 + names.index(a), 0) if op == "var" else (op, a, b) for op, a, b in slots]
     return program, roots, names
 
 
@@ -471,9 +471,9 @@ def _geometry(slots: int, n: int, nvals: int) -> tuple[int, int, int, np.dtype]:
 
 def _int_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: int, rows: np.ndarray,
              normals: np.ndarray, reps: tuple[int, ...] | None) -> tuple | None:
-    """The first hit of size n as (relation, mask, variables' world masks,
-    world), or None, evaluated on the ints of `_int_leaves`: the whole size
-    at once, one int a slot."""
+    """The first hit frame and valuation of size n as (relation, mask,
+    variables' world masks), or None, evaluated on the ints of
+    `_int_leaves`: the whole size at once, one int a slot."""
     width, norm, edges, variables = _int_leaves(n, rows.tobytes(), normals.tobytes(), k, reps)
     size = n * width
 
@@ -497,10 +497,9 @@ def _int_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: i
         return None
     pairs = some(mask)  # the hit planes ORed over the worlds
     b = (pairs & -pairs).bit_length() - 1  # the first (frame, valuation) pair in canonical order
-    world = next(w for w in range(n) if mask >> w * width + b & 1)
     nvals = width // (rows.shape[1] * normals.size)
     i, m = divmod(b // nvals, normals.size)
-    return rows[:, i], normals[m], [sum((p >> w * width + b & 1) << w for w in range(n)) for p in variables], world
+    return rows[:, i], normals[m], [sum((p >> w * width + b & 1) << w for w in range(n)) for p in variables]
 
 
 def _array_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: int, rows: np.ndarray,
@@ -543,9 +542,8 @@ def _array_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k:
                     i, m, t = map(int, np.unravel_index(np.flatnonzero(pairs)[0], pairs.shape))
                     bits = int(pairs[i, m, t])
                     j = (bits & -bits).bit_length() - 1
-                    world = int(np.flatnonzero(mask[:, i, m, t] >> j & 1)[0])
                     valuation = [sum((b >> j & 1) << w for w, b in enumerate(p[:, 0, t].tolist())) for p in planes]
-                    return fr[:, i], normals[g0 + m], valuation, world
+                    return fr[:, i], normals[g0 + m], valuation
     return None
 
 
@@ -570,8 +568,8 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     `_table` planes of the smallest valuation of each class, a shorter list
     in the same order whose first hit is the canonical one (see the module
     docstring).  The witness valuation is read from the planes the hit was
-    found on, at its bit.  The types are computed once, at the first n with
-    more than 64 valuations a frame."""
+    found on, at its bit, its world from re-verification.  The types are
+    computed once, at the first n with more than 64 valuations a frame."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     program, roots, names = _compile(formulas)
@@ -579,7 +577,8 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     relational = _relational(fc)
     reps = None
     for n in range(1, max_n + 1):
-        # up to 64 valuations a frame fill one word, and a shorter table saves no word operation
+        # at the first n above 64 valuations a frame, where numpy words are full; on ints,
+        # types from n = 1 timed within noise on `run_suite()`
         if k * (n - 1) <= 6 < k * n:
             reps = _representatives(program, roots, k)
         table = None if reps is None else _table(n, k, reps)
@@ -590,14 +589,14 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
         else:
             found = _array_hit(program, roots, hit, n, k, rows, normals, table, nvals)
         if found is not None:
-            rel, nm, valuation, world = found
+            rel, nm, valuation = found
             frame = Frame(n, tuple(int(r) for r in rel), int(nm))
             model = Model(frame, dict(zip(names, valuation)))
             full = (1 << n) - 1
-            if (not satisfies_class(frame, fc) or not hit(frame.normals, full, lambda x: full if x else 0,
-                                                          *(extension(model, f) for f in formulas)) >> world & 1):
+            worlds = hit(frame.normals, full, lambda x: full if x else 0, *(extension(model, f) for f in formulas))
+            if not satisfies_class(frame, fc) or not worlds:
                 raise RuntimeError("search witness failed re-verification")
-            return model, world
+            return model, (worlds & -worlds).bit_length() - 1
     return None
 
 

@@ -171,6 +171,22 @@ def search_shapes(f, other):
     return (f,), (other, f), (other, f, Dia(other)), (f, desugar(f))
 
 
+@settings(max_examples=200)
+@given(formulas(max_leaves=6), formulas(max_leaves=3))
+def test_compile_emits_each_instruction_once(f, other):
+    for fs in search_shapes(f, other):
+        program = _compile(fs)[0]
+        assert len(set(program)) == len(program)
+        assert all(max(a, b) < i for i, (op, a, b) in enumerate(program) if op != "leaf")  # in dict order
+
+
+def test_strict_and_superstrict_share_one_box():
+    # `p => q` is box (p -> q), and `p |> q` is ex p and that same box: 12
+    # slots, where spelling the box clause out in each took 13
+    assert len(_compile([parse("(p => q) & (p |> q)")])[0]) == 12
+    assert len(_compile([parse("p => q")])[0]) == 9 and len(_compile([parse("p |> q")])[0]) == 11
+
+
 def assert_representatives_match_the_reference(f, other):
     for fs in search_shapes(f, other):
         program, roots, names = _compile(fs)
@@ -417,12 +433,18 @@ def test_every_word_shape_agrees_with_oracle(n, k, true, used, t, j):
 
 
 def test_the_witness_world_is_the_lowest_plane():
-    # on the full two-world ktb frame both worlds fail under a@1 alone: world 0 comes first
+    # on the full two-world ktb frame both worlds fail under a@1 alone: world 0
+    # comes first, on ints and on numpy chunks, as re-verification names it
     f = parse("dia a -> box a")
-    assert_all_searches_agree(f, parse("dia top"), NAMED_CLASSES["ktb"], 2)
-    size, world, mj = countermodel_key(f, NAMED_CLASSES["ktb"], 2)
-    assert (size, world, mj["val"]) == (2, 0, {"a": [1]})
-    assert not eval_json(mj, 0, f) and not eval_json(mj, 1, f)
+    for switches, form in (((), "int"), (("ints",), "array")):
+        with pytest.MonkeyPatch.context() as mp:
+            switch_off(mp, *switches)
+            calls = forms_of_run(mp)
+            assert_all_searches_agree(f, parse("dia top"), NAMED_CLASSES["ktb"], 2)
+            size, world, mj = countermodel_key(f, NAMED_CLASSES["ktb"], 2)
+        assert {name for _, name in calls} == {form}
+        assert (size, world, mj["val"]) == (2, 0, {"a": [1]})
+        assert not eval_json(mj, 0, f) and not eval_json(mj, 1, f)
 
 
 def test_ex_temporaries_stay_small():
