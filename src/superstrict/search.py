@@ -12,7 +12,7 @@ Canonical encodings (golden files depend on these):
 * Witness search scans sizes 1..max_n, frames in canonical order, valuations
   in canonical order, worlds in ascending order, and returns the first hit.
 
-Each search compiles its formulas once into one postfix program over their
+Each search compiles its formulas into one postfix program over their
 shared subformula DAG, built from conjunction, disjunction, material
 implication, "some successor is in" and the set of normal points.  For each
 n the frames of the class form a table of two factors, as in Kripke's
@@ -21,6 +21,16 @@ normal worlds: the relation codes that meet the class's relational
 conditions, `_frame_table`, and its normality masks, `_normals`.  Frame
 (relation i, mask m) comes before every frame of a later relation, so
 canonical order is the row-major order of (relations, masks).
+
+`_first_hit` keeps the programs of the last `_COMPILED_MAX` = 256 formula
+tuples it searched, the least recently used dropped first.  The key is the
+formulas' ids, not their structure: `hash` walks a formula, at about two
+fifths of the cost of compiling it.  An entry holds its formulas, so no
+other object can take their ids while it is kept.  Only formula objects
+searched before find their program kept, such as the catalog's, which every
+`run_suite` in a process searches again; a formula parsed again is a new
+object and compiles again, so a fresh process that searches each formula
+once, as one command line call does, gains nothing.
 
 The program is bit-sliced, one bit plane per world, one bit of a plane per
 (frame, valuation) pair, and a slot takes one of two forms, picked for each
@@ -133,6 +143,7 @@ that never searches, such as `superstrict parse`, starts without numpy.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -158,6 +169,7 @@ _PAIRS = 1 << 15  # valuations a frame evaluated at once
 _CHUNK_BYTES = 1 << 20  # bytes of every slot's bit planes in a chunk
 _INT_BITS = 1 << 16  # bits of a slot up to which a size runs on Python ints
 _CODES = 1 << 14  # relation codes decoded at once
+_COMPILED_MAX = 256  # formula tuples whose compiled program `_first_hit` keeps
 Program = list[tuple]  # (op, slot a, slot b); a variable's name as `a` until lowered
 
 
@@ -396,6 +408,23 @@ def _compile(formulas: Sequence[Formula]) -> tuple[Program, list[int], tuple[str
     return program, roots, names
 
 
+_compiled: OrderedDict[tuple[int, ...], tuple] = OrderedDict()  # ids -> (formulas, program, roots, names)
+
+
+def _compiled_program(formulas: Sequence[Formula]) -> tuple[Program, list[int], tuple[str, ...]]:
+    """`_compile(formulas)`, kept by the formulas' ids for the last
+    `_COMPILED_MAX` formula tuples, as the module docstring says."""
+    key = tuple(map(id, formulas))
+    entry = _compiled.get(key)
+    if entry is None:
+        entry = _compiled[key] = (tuple(formulas), *_compile(formulas))
+        if len(_compiled) > _COMPILED_MAX:
+            _compiled.popitem(last=False)
+    else:
+        _compiled.move_to_end(key)
+    return entry[1:]
+
+
 def _representatives(program: Program, roots: Sequence[int], k: int) -> tuple[int, ...] | None:
     """The smallest k-bit assignment, the first variable as the high bit, of
     each class of assignments that give the maximal propositional slots of
@@ -421,8 +450,8 @@ def _representatives(program: Program, roots: Sequence[int], k: int) -> tuple[in
             maximal.update((a, b))
         propositional.append(p)
     atoms = {vals[s] for s in maximal if propositional[s]}
-    if atoms >= set(variables):
-        return None  # every variable an atom: each assignment its own class
+    if all(v in atoms or full ^ v in atoms for v in variables):
+        return None  # every variable or its complement an atom: each assignment its own class
     classes = [full]
     for x in atoms:
         classes = [c for part in classes for c in (part & x, part & ~x) if c]
@@ -557,6 +586,10 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     formula, world masks, where the witness is re-verified with `some(x)`
     `full` if `x` is nonzero, else 0.
 
+    The program comes from `_compiled_program`, kept by the formulas' ids
+    for the last `_COMPILED_MAX` formula tuples searched: only formula
+    objects searched before skip `_compile`, so a fresh process that
+    searches each formula once gains nothing (see the module docstring).
     Each size runs in one of two forms, picked by its bits a slot, n worlds
     x relations x masks x valuations: up to `_INT_BITS` the whole size is
     one chunk of Python ints, `_int_hit`, else numpy chunks, `_array_hit`.
@@ -572,7 +605,7 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     computed once, at the first n with more than 64 valuations a frame."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    program, roots, names = _compile(formulas)
+    program, roots, names = _compiled_program(formulas)
     k = len(names)
     relational = _relational(fc)
     reps = None

@@ -17,7 +17,7 @@ from functools import cache, lru_cache, partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from superstrict import search
 from superstrict.catalog import CATALOG, CATALOG_BY_NAME, run_suite
@@ -43,7 +43,7 @@ from superstrict.search import (
     rule_probe_witness,
 )
 from superstrict.semantics import NAMED_CLASSES, S2, S2_0, S3, Frame, FrameClass, frame_to_json, model_to_json
-from superstrict.syntax import And, Box, Dia, Or, Var, desugar, parse, variables
+from superstrict.syntax import And, Box, Dia, Formula, Or, Var, desugar, parse, variables
 
 import test_cli
 import test_search
@@ -277,6 +277,10 @@ def test_catalog_representatives_match_the_reference(entry):
 
 @settings(max_examples=300)
 @given(formulas(max_leaves=6), formulas(max_leaves=3))
+# `box a` reads `a` through its operand `~a`, so the atoms are the variables'
+# complements here and the variables below: each separates all 2^15 assignments
+@example(parse(" | ".join(f"box {x}" for x in "abcdefghijklmno")), parse("dia top"))
+@example(parse(" | ".join(f"box ~{x}" for x in "abcdefghijklmno")), parse("dia top"))
 def test_random_representatives_match_the_reference(f, other):
     assert_representatives_match_the_reference(f, other)
     # all three variables, as the random searches below read them at n = 3
@@ -862,3 +866,73 @@ def test_run_wrappers_on_numpy(case, monkeypatch):
     calls = forms_of_run(monkeypatch)
     case(monkeypatch)
     assert calls and {form for _, form in calls} == {"array"}
+
+
+# `_first_hit` keeps the compiled program of the last `_COMPILED_MAX` formula
+# tuples, keyed by the formulas' ids: the catalog's formulas compile once per
+# process, a newly parsed formula compiles again however it is spelled, and
+# what the switches patch is still read on every search.
+def count_compiles(mp):
+    """The formula tuples `search._compile` compiles from now on."""
+    compiled = []
+    compile_ = search._compile
+    mp.setattr(search, "_compile", lambda fs: compiled.append(fs) or compile_(fs))
+    return compiled
+
+
+def test_a_formula_object_compiles_once(monkeypatch):
+    compiled = count_compiles(monkeypatch)
+    f, g = parse("p |> q"), parse("~q")
+    for _ in range(2):
+        assert find_countermodel(f, S2, 2) is not None
+        rule_probe_witness([g], f, S2, 2)
+    assert compiled == [(f,), (f, g)]
+    h = parse("p |> q")  # equal to f, but a new object
+    assert find_countermodel(h, S2, 2) is not None
+    assert len(compiled) == 3 and compiled[-1][0] is h
+
+
+def test_the_suite_stays_compiled_between_other_searches(monkeypatch):
+    compiled = count_compiles(monkeypatch)
+    report = run_suite().to_json()
+    fresh = [parse(f"x{i} -> x{i}") for i in range(search._COMPILED_MAX - len(CATALOG) + 1)]
+    for f in fresh[:-1]:  # with the catalog's entries, these fill the cache
+        assert find_countermodel(f, S2, 1) is None
+        assert len(search._compiled) <= search._COMPILED_MAX
+    compiled.clear()
+    assert run_suite().to_json() == report and not compiled  # every entry a hit, now the most recent
+    assert find_countermodel(fresh[-1], S2, 1) is None  # drops the least recent, fresh[0], not an entry
+    assert len(search._compiled) == search._COMPILED_MAX
+    assert run_suite().to_json() == report and compiled == [(fresh[-1],)]
+
+
+def test_the_types_switch_reaches_a_cached_program():
+    entry = CATALOG_BY_NAME["guarded_ax4"]  # three variables and no countermodel: the types are read at n = 3
+    assert entry in REDUCED_AT_THREE
+    key = countermodel_key(entry.formula, entry.frame_class, 3)  # compiled now, if not before
+    with pytest.MonkeyPatch.context() as mp:
+        compiled = count_compiles(mp)
+        switch_off(mp, "types")
+        reached = []
+        off = search._representatives
+        mp.setattr(search, "_representatives", lambda *args: reached.append(args) or off(*args))
+        assert countermodel_key(entry.formula, entry.frame_class, 3) == key
+    assert reached and not compiled
+
+
+def test_a_search_never_hashes_a_formula(monkeypatch):
+    # a structural key would walk every formula on every search
+    f = parse("(p |> q) -> ~(p |> ~q)")
+    suite = run_suite(2).to_json()
+
+    def unhashable(g):
+        raise AssertionError("a search hashed a formula")
+
+    monkeypatch.setattr(Formula, "__hash__", unhashable)
+    with pytest.raises(AssertionError):
+        hash(Var("p"))
+    for _ in range(2):
+        assert find_countermodel(f, S2, 2) is None
+        assert rule_probe_witness([f], Box(f), S2, 2) is None
+        assert definability_probe(f, S2, 2) is None
+        assert run_suite(2).to_json() == suite
