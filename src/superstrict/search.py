@@ -67,10 +67,11 @@ So:
   word t of plane w is the slot's truth at world w under the valuation at
   bit j of word t of the variables' planes; in the plain scan, which packs
   `_planes` from uint64 codes and so stops at k*n = 64, that is code
-  lo + t * used + j.  The leaves broadcast: the variables' planes are
-  (n, 1, 1, words), the normal points (n, 1, masks, 1), and a relation's
-  successors a (world, successor, relations, 1, 1) array of all-ones or
-  all-zero words.  "Some successor is in" ORs the successor words, masked
+  lo + t * used + j; `_first_hit` refuses, before any size is scanned, a
+  search that would take it past that.  The leaves broadcast: the
+  variables' planes are (n, 1, 1, words), the normal points (n, 1, masks,
+  1), and a relation's successors a (world, successor, relations, 1, 1)
+  array of all-ones or all-zero words.  "Some successor is in" ORs the successor words, masked
   by the operand, over the successor axis.  The first nonzero word of the
   hit planes ORed over the worlds, in row-major order, decoded as
   (relation i, mask m, word t), and its lowest set bit j give the first hit
@@ -602,11 +603,18 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     in the same order whose first hit is the canonical one (see the module
     docstring).  The witness valuation is read from the planes the hit was
     found on, at its bit, its world from re-verification.  The types are
-    computed once, at the first n with more than 64 valuations a frame."""
+    computed once, at the first n with more than 64 valuations a frame.
+    A size past k*n = 64 must read the table, as the plain scan's codes stop
+    there.  The table grows with n, so one at `max_n` means one at every
+    smaller n; where there is none, the search is refused with `ValueError`
+    before any size is scanned."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     program, roots, names = _compiled_program(formulas)
     k = len(names)
+    if k * max_n > 64 and ((types := _representatives(program, roots, k)) is None or _table(max_n, k, types) is None):
+        raise ValueError(f"{k} variables on {max_n} worlds: a scan of every valuation is limited to "
+                         "variables x worlds <= 64")
     relational = _relational(fc)
     reps = None
     for n in range(1, max_n + 1):

@@ -1,12 +1,16 @@
 """The package's public names, and the hook points the benchmark patches."""
 
+import ast
 import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 import superstrict
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = Path(superstrict.__file__).parent
 
 EXPORTED = {
     "And", "AxiomInstance", "Bot", "Box", "CATALOG", "CATALOG_BY_NAME",
@@ -33,6 +37,37 @@ def test_exported_names():
     assert len(EXPORTED) == 79
     assert set(superstrict.__all__) == EXPORTED
     assert len(superstrict.__all__) == len(EXPORTED)
+
+
+def top_level_definitions(module: str) -> set[str]:
+    """The names the top level of `superstrict.<module>` binds other than by import."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    names = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    targets = [t for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
+    targets += [node.target for node in tree.body if isinstance(node, ast.AnnAssign)]
+    return names | {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def test_each_name_comes_from_the_submodule_that_defines_it():
+    for name in sorted(EXPORTED):
+        module = superstrict._MODULE[name]
+        assert name in top_level_definitions(module)
+        own = getattr(importlib.import_module(f"superstrict.{module}"), name)
+        assert superstrict.__getattr__(name) is own
+        assert getattr(superstrict, name) is own
+
+
+def test_the_name_table_behaves_as_the_imports_did():
+    assert EXPORTED <= set(dir(superstrict))
+    with pytest.raises(AttributeError, match=r"^module 'superstrict' has no attribute 'no_such_name'$"):
+        superstrict.no_such_name
+    star: dict = {}
+    exec("from superstrict import *", star)
+    assert set(star) - {"__builtins__"} == EXPORTED
+    assert all(star[name] is getattr(superstrict, name) for name in EXPORTED)
+    submodule: dict = {}
+    exec("from superstrict import search", submodule)
+    assert submodule["search"] is sys.modules["superstrict.search"]
 
 
 def test_benchmark_hook_points_exist():

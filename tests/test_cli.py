@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,16 @@ class TestTautologyLimit:
         err = capsys.readouterr().err
         assert err.startswith("error: tautology check over 40 atoms")
         assert str(TAUT_LIMIT) in err
+
+
+class TestValuationBitLimit:
+    def test_33_variables_at_two_worlds_exit_2(self, capsys):
+        formula = " & ".join(f"x{i:02}" for i in range(33)) + " -> x00"
+        start = time.perf_counter()
+        assert main(["valid", "--formula", formula, "--class", "s2", "--max-n", "2"]) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: 33 variables on 2 worlds:") and "<= 64" in err
 
 
 def _left_chain(levels: int) -> str:

@@ -11,6 +11,7 @@ or all together through `SWITCHES`, the engine returns the same.
 """
 
 import itertools
+import time
 import tracemalloc
 from dataclasses import asdict, replace
 from functools import cache, lru_cache, partial
@@ -321,6 +322,30 @@ def test_types_beyond_64_valuation_bits():
         size, world, mj = countermodel_key(parse(FIVE_TYPES), NAMED_CLASSES["s5"], n)
     assert size == n and key == (size, world, mj | {"val": mj["val"] | {f"x{i}": [] for i in range(10, 22)}})
     assert not eval_json(key[2], world, WIDE)
+
+
+# 33 variables: 2^33 assignments of a world, too many for types, so n = 2
+# would take the plain scan at 66 valuation bits, past its uint64 codes.
+TAUTOLOGY_33 = parse(" & ".join(f"x{i:02}" for i in range(33)) + " -> x00")
+# 32 variables, no types either: the first countermodel sets x30 and x31 at n = 1.
+PLAIN_32 = parse("x30 & x31 -> " + " | ".join(f"x{i:02}" for i in range(30)))
+
+
+def test_plain_scan_past_64_valuation_bits_is_refused():
+    assert reps_of(TAUTOLOGY_33) is None
+    for search_fn in (lambda: find_countermodel(TAUTOLOGY_33, S2, 2),
+                      lambda: rule_probe_witness([parse("dia top")], TAUTOLOGY_33, S2, 2),
+                      lambda: definability_probe(Dia(TAUTOLOGY_33), S2, 2)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^33 variables on 2 worlds: .* <= 64$"):
+            search_fn()
+        assert time.perf_counter() - start < 1
+
+
+def test_plain_scan_at_64_valuation_bits_keeps_its_witness():
+    assert reps_of(PLAIN_32) is None
+    val = {f"x{i:02}": [] for i in range(30)} | {"x30": [0], "x31": [0]}
+    assert countermodel_key(PLAIN_32, S2, 2) == (1, 0, {"worlds": 1, "rel": [[0]], "normals": [0], "val": val})
 
 
 def test_no_types_when_atoms_are_distinct_variables():

@@ -99,6 +99,27 @@ def test_numpy_loads_at_the_first_search(tmp_path):
     assert out["report"] == [report.frame_size, report.world, model_to_json(report.model)]
 
 
+# The modules loaded by `import superstrict`, then by reading one name; one JSON line.
+LAZY_PACKAGE = """
+import json, sys
+import superstrict
+loaded = {"import superstrict": sorted(sys.modules)}
+superstrict.parse
+loaded["superstrict.parse"] = sorted(sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_the_package_loads_no_submodule_until_a_name_is_read(tmp_path):
+    run = subprocess.run([sys.executable, "-c", LAZY_PACKAGE], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                         cwd=tmp_path, capture_output=True, text=True, check=True)
+    out = json.loads(run.stdout)
+    heavy = {f"superstrict.{m}" for m in ("syntax", "semantics", "search", "proof", "catalog", "cli")}
+    assert sorted((heavy | {"dataclasses", "numpy"}) & set(out["import superstrict"])) == []
+    assert [m for m in out["superstrict.parse"] if m.startswith("superstrict")] == ["superstrict", "superstrict.syntax"]
+    assert "numpy" not in out["superstrict.parse"]
+
+
 def test_numpy_attributes_are_kept_on_the_proxy():
     assert search.np.arange is numpy.arange
     assert vars(search.np)["arange"] is numpy.arange
