@@ -15,12 +15,11 @@ Canonical encodings (golden files depend on these):
 Each search compiles its formulas into one postfix program over their
 shared subformula DAG, built from conjunction, disjunction, material
 implication, "some successor is in" and the set of normal points.  For each
-n the frames of the class form a table of two factors, as in Kripke's
-semantics for non-normal logics, where a frame is a relation plus a set of
-normal worlds: the relation codes that meet the class's relational
-conditions, `_frame_table`, and its normality masks, `_normals`.  Frame
-(relation i, mask m) comes before every frame of a later relation, so
-canonical order is the row-major order of (relations, masks).
+n it reads one list of frames, `_frames`, in canonical order: a frame is a
+relation plus a set of normal worlds, as in Kripke's semantics for
+non-normal logics, and the list takes the relations of the class,
+`_frame_table`, each under its normality masks, `_normals`, less the frames
+that the orbits and idle rows below show cannot hold the first hit.
 
 `_first_hit` keeps the programs of the last `_COMPILED_MAX` = 256 formula
 tuples it searched, the least recently used dropped first.  The key is the
@@ -30,53 +29,45 @@ other object can take their ids while it is kept.  Only formula objects
 searched before find their program kept, such as the catalog's, which every
 `run_suite` in a process searches again; a formula parsed again is a new
 object and compiles again, so a fresh process that searches each formula
-once, as one command line call does, gains nothing.
+once, as one command line call does, gains nothing.  A definability probe
+is kept by its one formula, as `desugar` builds a new rewriting each call.
 
 The program is bit-sliced, one bit plane per world, one bit of a plane per
 (frame, valuation) pair, and a slot takes one of two forms, picked for each
-n by its size, n x relations x masks x valuations bits.  A numpy call costs
-about a microsecond however few bits it reads, and most searches stop at
-n <= 3, where a slot holds a few hundred bits: there one operation on two
-Python ints takes about a tenth of that.  Where a size has many frames,
-numpy's broadcasting saves more than its calls cost: a slot that never
-meets the normal points is computed once per relation, not once per frame.
-So:
+n by its size, n x frames x valuations bits.  A numpy call costs about a
+microsecond however few bits it reads, and most searches stop at n <= 3,
+where a slot holds a few hundred bits: there one operation on two Python
+ints takes about a tenth of that.  So:
 
 * Up to `_INT_BITS` bits, the whole size is one chunk, and a slot is one
-  Python int of n world planes of `width` = relations x masks x valuations
-  bits: bit (i * masks + m) * valuations + v of plane w is its truth at
-  world w of frame (relation i, mask m) under valuation v, the planes'
-  layout in canonical order.  Conjunction, disjunction and implication are
-  one int operation each.  "Some successor is in" ORs n rotations of the
-  operand's planes, rotation d bringing plane w + d mod n to plane w, each
-  ANDed with the cached mask of the frames where w sees w + d mod n.  The
-  lowest set bit of the hit planes ORed over the worlds is the first hit
-  pair in canonical order.
-* Above it, the program runs on numpy chunks of `rstep` relations x
-  `gstep` consecutive masks x a range of `vstep` valuation codes, sized by
-  their working set: as many frames as keep every slot's bit planes within
-  `_CHUNK_BYTES`, all masks of several relations when they fit, else one
-  relation and a group of masks, and a frame with more valuations than
-  `_PAIRS` forms a chunk alone and walks them in ranges of `_PAIRS`.  The
-  fixed cost of a chunk, the Python loop and one numpy call per
-  instruction, is so paid once per megabyte of planes however few
-  valuations a frame has.  A slot's value on a chunk is an array of shape
-  (n, relations, masks, words).  A frame's valuations are packed
-  little-endian into words of `used = min(vstep, 64)` bits (uint8 holds 1,
-  2, 4 or 8 of them, uint16, uint32 and uint64 are filled), so bit j of
-  word t of plane w is the slot's truth at world w under the valuation at
-  bit j of word t of the variables' planes; in the plain scan, which packs
-  `_planes` from uint64 codes and so stops at k*n = 64, that is code
-  lo + t * used + j; `_first_hit` refuses, before any size is scanned, a
-  search that would take it past that.  The leaves broadcast: the
-  variables' planes are (n, 1, 1, words), the normal points (n, 1, masks,
-  1), and a relation's successors a (world, successor, relations, 1, 1)
-  array of all-ones or all-zero words.  "Some successor is in" ORs the successor words, masked
-  by the operand, over the successor axis.  The first nonzero word of the
-  hit planes ORed over the worlds, in row-major order, decoded as
-  (relation i, mask m, word t), and its lowest set bit j give the first hit
-  frame in canonical order, and the variables' planes at word t and bit j
-  its valuation.
+  Python int of n world planes of `width` = frames x valuations bits: bit
+  f * valuations + v of plane w is its truth at world w of frame f under
+  valuation v, the planes' layout in canonical order.  Conjunction,
+  disjunction and implication are one int operation each.  "Some successor
+  is in" ORs n rotations of the operand's planes, rotation d bringing plane
+  w + d mod n to plane w, each ANDed with the cached mask of the frames
+  where w sees w + d mod n.  The lowest set bit of the hit planes ORed over
+  the worlds is the first hit pair in canonical order.
+* Above it, the program runs on numpy chunks of `fstep` consecutive frames
+  x a range of `vstep` valuation codes: as many frames as keep every slot's
+  bit planes within `_CHUNK_BYTES`, so the Python loop and one numpy call
+  per instruction are paid once per megabyte of planes, and a frame with
+  more valuations than `_PAIRS` alone, walking them in ranges of `_PAIRS`.
+  A slot's value on a chunk is an array of shape (n, frames, words).  A
+  frame's valuations are packed little-endian into words of `used =
+  min(vstep, 64)` bits (uint8 holds 1, 2, 4 or 8 of them, wider words are
+  filled), so bit j of word t of plane w is the slot's truth at world w
+  under the valuation at bit j of word t of the variables' planes; in the
+  plain scan, which packs `_planes` from uint64 codes and so stops at k*n =
+  64 (`_first_hit` refuses a search past that), it is code lo + t * used +
+  j.  The leaves broadcast: the variables' planes are (n, 1, words), so a
+  slot that meets no normal point or successor is computed once a chunk,
+  the normal points (n, frames, 1), and the frames' successors a (world,
+  successor, frames, 1) array of all-ones or all-zero words.  "Some
+  successor is in" ORs the successor words, masked by the operand, over
+  the successor axis.  The first nonzero word of the hit planes ORed over
+  the worlds, (frame f, word t) in row-major order, and its lowest set bit
+  j give the first hit frame and, from the variables' planes, valuation.
 
 A search is a hit predicate on the program's results, `hit(normals, full,
 some, *results)`, built from `&`, `|` and `^`, the all-ones value `full` and
@@ -85,9 +76,9 @@ some, *results)`, built from `&`, `|` and `^`, the all-ones value `full` and
 the numpy chunks and the world masks of a single model.  A countermodel is
 `normals & (full ^ x)`, a normal world outside `x`; a rule-probe witness
 also takes `full ^ some(normals & (full ^ p))` for each premise `p`, no
-normal world outside it; a definability witness is `a ^ b`.  Frame and
-Model objects are built for the witness only.  Every search runs through
-`_first_hit`, which re-verifies the first hit frame and valuation once:
+normal world outside it; a definability witness is `a ^ b`.  Every search
+runs through `_first_hit`, which re-verifies the first hit frame and
+valuation once, the only ones built as Frame and Model objects:
 its frame against the class, the hit predicate on the scalar extensions of
 :mod:`superstrict.semantics`, its lowest world the witness world.  A
 failure there is an internal fault and raises `RuntimeError`;
@@ -107,35 +98,49 @@ assignment giving each row.  `_table` packs the valuations that give every
 world such a representative into the variables' bit planes, in canonical
 order (a `np.lexsort` of their n-bit groups, the first variable's primary),
 padded with copies of the last to whole words; it forms no code, so it
-holds at any k*n, and `_first_hit` runs on it where the plain scan runs on
-`_planes`.  The witness is the same: the valuations with one row per world
-form a product over the worlds, and canonical order is variable-major, so
-the smallest code among them takes at each world the smallest assignment
-with its row, a representative.  The first hit in canonical order is
-therefore a representative, and the scan of representatives in canonical
-order meets it first; a padded copy hits only if the last entry, which
-comes before it, does.  The table is read where a frame has more than 64
-valuations, at most `_PAIRS` of them, and only if shorter than the scan.
+holds at any k*n.  The witness is the same: the valuations with one row
+per world form a product over the worlds, and canonical order is
+variable-major, so the smallest code among them takes at each world the
+smallest assignment with its row, a representative.  So the first hit is
+a representative, met first in the table; a padded copy hits only if the
+last entry, which comes before it, does.  The table is read where a frame
+has more than 64 valuations, at most `_PAIRS`, if shorter than the scan.
 
-The scan also reads one relation per isomorphism class.  A permutation of
-the worlds maps a frame of a named class to a frame of the class, since
-every class condition is closed under isomorphism, and the class's set of
+The scan reads one relation per isomorphism class.  A permutation of the
+worlds maps a frame of a named class to a frame of the class, since every
+class condition is closed under isomorphism, and the class's set of
 normality masks to itself.  It maps a hit to a hit: a countermodel, a
 rule-probe witness or a definability witness, at the image world under the
 image valuation.  The frames that hit are therefore a union of orbits, and
 as canonical order is relation-major, the first of them has the least
 relation code of its orbit: a smaller image would carry a hit on an earlier
-frame.  So `_frame_table`, the search's table, keeps of the relations that
-meet the class conditions only those that `_orbit_least`, trying one
-permutation at a time on the relations still in, finds no smaller than any
-of their n! images, each with every mask, and the scan meets the same first
-frame, valuation and world.  It is built once per n and relational
-conditions, the class without `all_normal`, and kept for every n.  This is
-orderly generation (Read 1978, "Every one a winner"; McKay 1998,
-"Isomorph-free exhaustive generation").  At n = 4 it keeps 3,044 of the
-65,536 relations of `s2_0`, 218 of the 4,096 of `s2` and 33 of the 355 of
-`s3`.  `enumerate_frames` still yields every frame, decoding the relation
-codes `_CODES` at a time as it yields.
+frame.  So `_frame_table` keeps of the relations that meet the class
+conditions only those that `_orbit_least`, trying one permutation at a time
+on the relations still in, finds no smaller than any of their n! images.
+It is built once per n and relational conditions, the class without
+`all_normal`, and kept for every n.  This is orderly generation (Read 1978,
+"Every one a winner"; McKay 1998, "Isomorph-free exhaustive generation").
+At n = 4 it keeps 3,044 of the 65,536 relations of `s2_0`, 218 of the 4,096
+of `s2` and 33 of the 355 of `s3`.  `enumerate_frames` still yields every
+frame, decoding the relation codes `_CODES` at a time as it yields.
+
+The scan also skips frames that differ only in idle rows.  At a non-normal
+world `box`, `=>`, `|>` and `||>` are false and `dia` is true, whatever its
+successors (Kripke 1965, "Semantical analysis of modal logic II"; Priest,
+*An Introduction to Non-Classical Logic*, 2nd ed. 2008, ch. 4); `_compile`
+joins every "some successor is in" to the normal points.  So the row of a
+non-normal world is idle: it changes no truth value anywhere.  Where the
+relational conditions come from reflexivity and transitivity alone
+(`_idle_least`), replacing each idle row by the least row the class
+allows, empty or the world itself under reflexivity, keeps the frame in
+the class, as the new rows are subsets of the old that reach no other
+world, and lowers its code unless they were least already.  So the first
+hit has least idle rows, and its relation is orbit-least as well:
+`_frames` keeps only such frames, and the scan meets the same first frame,
+valuation and world.  Seriality, symmetry and euclideanness can fail under
+that replacement, so those classes read every mask of every relation.  At
+n = 4 the scan reads 3,955 frames of `s2_0` of 45,660 relations x masks,
+377 of `s2` (3,270) and 111 of `s3` (495).
 
 `np` is a proxy that imports numpy at its first attribute read, so a process
 that never searches, such as `superstrict parse`, starts without numpy.
@@ -146,7 +151,7 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .semantics import Frame, FrameClass, Model, extension, holds, satisfies_class
@@ -262,19 +267,38 @@ def _frame_table(n: int, fc: FrameClass) -> np.ndarray:
     return _frozen(np.concatenate([rows.take(_orbit_least(rows), axis=1) for rows in blocks], axis=1))[0]
 
 
-@cache
-def _relational(fc: FrameClass) -> FrameClass:
-    """`fc` without `all_normal`, the key of its relations' `_frame_table`;
-    a class is six flags, so at most 64 are kept."""
-    return replace(fc, all_normal=False)
-
-
 def _normals(n: int, fc: FrameClass, all_points: bool) -> np.ndarray:
     """`fc`'s normality masks at n in canonical order: all worlds under
     `all_normal`, else every set, the empty one, where no world can fail,
     only with `all_points`."""
     rev = _reversal(n)
     return rev[-1:] if fc.all_normal else rev[0 if all_points else 1:]
+
+
+def _idle_least(fc: FrameClass) -> bool:
+    """Whether `fc` keeps a frame whose idle rows are made least (see the module docstring)."""
+    return not (fc.serial or fc.symmetric or fc.euclidean)
+
+
+def _frames(n: int, fc: FrameClass, all_points: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The frames a search of `fc` reads at n, cut by the functions `_idle_least` and `_frame_table` name now."""
+    return _cut_frames(n, fc, all_points, _idle_least(fc), _frame_table)
+
+
+@lru_cache(maxsize=None)
+def _cut_frames(n: int, fc: FrameClass, all_points: bool, idle: bool,
+                table: Callable[[int, FrameClass], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The frames a search of `fc` reads at n, in canonical order, as
+    successor rows, shape (n, frames), and masks: each relation `table`
+    gives for `fc` without `all_normal` under each mask of `_normals`,
+    less, with `idle`, those with a non-normal world whose row is not the
+    least in the table, empty or the world itself under reflexivity."""
+    rows, normals = table(n, replace(fc, all_normal=False)), _normals(n, fc, all_points)
+    keep = np.ones((rows.shape[1], normals.size), dtype=bool)
+    for w in range(n) if idle else ():
+        keep &= (normals >> w & 1 == 1) | (rows[w] == rows[w].min(initial=(1 << n) - 1))[:, None]
+    r, m = np.nonzero(keep)  # relation-major
+    return _frozen(rows.take(r, axis=1), normals.take(m))
 
 
 def _pack(n: int, masks: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -322,29 +346,26 @@ def _planes(n: int, k: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 def _int_leaves(n: int, relations: bytes, masks: bytes, k: int,
                 reps: tuple[int, ...] | None) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
     """The plane width and the leaves of a size that runs on ints, each n
-    world planes of `width` = relations x masks x valuations bits, bit
-    (i * masks + m) * valuations + v of plane w its value at world w of
-    frame (relation i, mask m) under valuation v: the normal points; the
-    edge masks of `ex`, plane w of mask d set where w sees w + d mod n; and
-    the variables' planes over the `_planes` codes or, given `reps`, the
-    `_table` valuations, alike in every frame.  The relations and masks
-    come as the bytes of their tables, so a search reads the leaves of the
-    very table `_frame_table` gave it.  At most 64 are kept, each 1 + n + k
+    world planes of `width` = frames x valuations bits, bit f * valuations
+    + v of plane w its value at world w of frame f under valuation v: the
+    normal points; the edge masks of `ex`, plane w of mask d set where w
+    sees w + d mod n; and the variables' planes over the `_planes` codes
+    or, given `reps`, the `_table` valuations.  The frames come as the
+    bytes of their rows and masks.  At most 64 are kept, each 1 + n + k
     ints of at most `_INT_BITS` bits."""
     rows = np.frombuffer(relations, _reversal(n).dtype).reshape(n, -1)
     normals = np.frombuffer(masks, _reversal(n).dtype)
     planes, nvals = (_planes(n, k, 0, 1 << k * n), 1 << k * n) if reps is None else _table(n, k, reps)
-    shape = (n, rows.shape[1], normals.size, nvals)
+    shape = (n, normals.size, nvals)
     worlds = np.arange(n)[:, None]
 
     def bits(a: np.ndarray) -> int:  # `a`, broadcast to `shape`, as one int: the last axis the lowest bits
         return int.from_bytes(np.packbits(np.broadcast_to(a, shape), axis=None, bitorder="little").tobytes(), "little")
 
-    norm = bits((normals >> worlds & 1)[:, None, :, None])
-    edges = tuple(bits((rows >> (worlds + d) % n & 1)[:, :, None, None]) for d in range(n))
-    variables = tuple(bits(np.unpackbits(p.view(np.uint8), axis=-1, bitorder="little")[:, :, None, :nvals])
-                      for p in planes)
-    return shape[1] * shape[2] * nvals, norm, edges, variables
+    norm = bits((normals >> worlds & 1)[:, :, None])
+    edges = tuple(bits((rows >> (worlds + d) % n & 1)[:, :, None]) for d in range(n))
+    variables = tuple(bits(np.unpackbits(p.view(np.uint8), axis=-1, bitorder="little")[:, :, :nvals]) for p in planes)
+    return normals.size * nvals, norm, edges, variables
 
 
 def enumerate_frames(n: int, fc: FrameClass) -> Iterator[Frame]:
@@ -409,21 +430,20 @@ def _compile(formulas: Sequence[Formula]) -> tuple[Program, list[int], tuple[str
     return program, roots, names
 
 
-_compiled: OrderedDict[tuple[int, ...], tuple] = OrderedDict()  # ids -> (formulas, program, roots, names)
+_compiled: OrderedDict[tuple, tuple] = OrderedDict()  # (ids, desugared) -> (formulas, program, roots, names)
 
 
-def _compiled_program(formulas: Sequence[Formula]) -> tuple[Program, list[int], tuple[str, ...]]:
-    """`_compile(formulas)`, kept by the formulas' ids for the last
-    `_COMPILED_MAX` formula tuples, as the module docstring says."""
-    key = tuple(map(id, formulas))
-    entry = _compiled.get(key)
-    if entry is None:
-        entry = _compiled[key] = (tuple(formulas), *_compile(formulas))
+def _compiled_program(formulas: Sequence[Formula], desugared: bool) -> tuple:
+    """The formulas, with `desugared` followed by their `desugar`, and their
+    `_compile`, kept by the given formulas' ids (see the module docstring)."""
+    if (entry := _compiled.get(key := (*map(id, formulas), desugared))) is None:
+        formulas = (*formulas, *map(desugar, formulas)) if desugared else tuple(formulas)
+        entry = _compiled[key] = (formulas, *_compile(formulas))
         if len(_compiled) > _COMPILED_MAX:
             _compiled.popitem(last=False)
     else:
         _compiled.move_to_end(key)
-    return entry[1:]
+    return entry
 
 
 def _representatives(program: Program, roots: Sequence[int], k: int) -> tuple[int, ...] | None:
@@ -501,9 +521,9 @@ def _geometry(slots: int, n: int, nvals: int) -> tuple[int, int, int, np.dtype]:
 
 def _int_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: int, rows: np.ndarray,
              normals: np.ndarray, reps: tuple[int, ...] | None) -> tuple | None:
-    """The first hit frame and valuation of size n as (relation, mask,
-    variables' world masks), or None, evaluated on the ints of
-    `_int_leaves`: the whole size at once, one int a slot."""
+    """The first hit among the frames `rows` and `normals` of size n as
+    (relation, mask, variables' world masks), or None, evaluated on the
+    ints of `_int_leaves`: the whole size at once, one int a slot."""
     width, norm, edges, variables = _int_leaves(n, rows.tobytes(), normals.tobytes(), k, reps)
     size = n * width
 
@@ -527,58 +547,47 @@ def _int_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: i
         return None
     pairs = some(mask)  # the hit planes ORed over the worlds
     b = (pairs & -pairs).bit_length() - 1  # the first (frame, valuation) pair in canonical order
-    nvals = width // (rows.shape[1] * normals.size)
-    i, m = divmod(b // nvals, normals.size)
-    return rows[:, i], normals[m], [sum((p >> w * width + b & 1) << w for w in range(n)) for p in variables]
+    f = b // (width // normals.size)
+    return rows[:, f], normals[f], [sum((p >> w * width + b & 1) << w for w in range(n)) for p in variables]
 
 
 def _array_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: int, rows: np.ndarray,
                normals: np.ndarray, table: tuple | None, nvals: int) -> tuple | None:
-    """The first hit of size n as `_int_hit` gives it, evaluated on numpy
-    chunks; `table` is the `_table` the scan reads, or None for the plain
-    scan of every valuation code.  A chunk crosses `rstep` relations with
-    `gstep` consecutive masks and `vstep` valuations, `fstep` frames as
-    `_geometry` sizes them by the bytes of the program's planes: all masks
-    of `fstep // masks` relations when they fit, else one relation and
-    `fstep` masks at a time, so the bits of the (relations, masks, words)
-    planes lie in canonical order."""
+    """The first hit as `_int_hit` gives it, evaluated on numpy chunks of
+    consecutive frames and valuations as `_geometry` sizes them; `table` is
+    the `_table` the scan reads, or None for the plain scan of every code."""
     vstep, fstep, used, word = _geometry(len(program), n, nvals)
     words = vstep // used
     full = word.type((1 << used) - 1)
     bit = np.arange(n, dtype=rows.dtype)[:, None]
-    gstep = min(fstep, normals.size)
-    rstep = fstep // gstep
-    norms = np.multiply(normals >> bit & 1, full, dtype=word)[:, None, :, None]
 
     def some(x: np.ndarray) -> np.ndarray:  # the world planes ORed, broadcast to every world
         return np.bitwise_or.reduce(x, axis=0, keepdims=True)
 
-    for r0 in range(0, rows.shape[1], rstep):
-        fr = rows[:, r0:r0 + rstep]
-        succ = np.multiply(fr[:, None] >> bit & 1, full, dtype=word)[..., None, None]
+    for f0 in range(0, normals.size, fstep):
+        fr, nm = rows[:, f0:f0 + fstep], normals[f0:f0 + fstep]
+        succ = np.multiply(fr[:, None] >> bit & 1, full, dtype=word)[..., None]
+        norm = np.multiply(nm >> bit & 1, full, dtype=word)[..., None]
 
         def ex(x: np.ndarray) -> np.ndarray:  # the successor words, masked by the operand, ORed
             return np.bitwise_or.reduce(succ & x, axis=1)
 
-        for g0 in range(0, normals.size, gstep):
-            norm = norms[:, :, g0:g0 + gstep]
-            for lo in range(0, nvals, vstep):
-                planes = _planes(n, k, lo, lo + vstep) if table is None else table[0]
-                vals = _run(program, (full ^ full, norm, *(p[:, None] for p in planes)), ex, full)
-                mask = hit(norm, full, some, *(vals[r] for r in roots))
-                if mask.any():
-                    mask = np.broadcast_to(mask, (n, fr.shape[1], norm.shape[2], words))
-                    pairs = some(mask)[0]
-                    i, m, t = map(int, np.unravel_index(np.flatnonzero(pairs)[0], pairs.shape))
-                    bits = int(pairs[i, m, t])
-                    j = (bits & -bits).bit_length() - 1
-                    valuation = [sum((b >> j & 1) << w for w, b in enumerate(p[:, 0, t].tolist())) for p in planes]
-                    return fr[:, i], normals[g0 + m], valuation
+        for lo in range(0, nvals, vstep):
+            planes = _planes(n, k, lo, lo + vstep) if table is None else table[0]
+            vals = _run(program, (full ^ full, norm, *planes), ex, full)
+            mask = hit(norm, full, some, *(vals[r] for r in roots))
+            if mask.any():
+                pairs = some(np.broadcast_to(mask, (n, nm.size, words)))[0]
+                f, t = map(int, np.unravel_index(np.flatnonzero(pairs)[0], pairs.shape))
+                bits = int(pairs[f, t])
+                j = (bits & -bits).bit_length() - 1
+                valuation = [sum((b >> j & 1) << w for w, b in enumerate(p[:, 0, t].tolist())) for p in planes]
+                return fr[:, f], nm[f], valuation
     return None
 
 
 def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Callable[..., np.ndarray],
-               all_points: bool = False) -> tuple[Model, int] | None:
+               all_points: bool = False, desugared: bool = False) -> tuple[Model, int] | None:
     """First model and world, in canonical order, in the bit planes that
     `hit(normals, full, some, *extensions of formulas)` returns.  `hit` may
     use only `&`, `|`, `^`, the all-ones `full` and `some(x)`, where some
@@ -587,35 +596,29 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     formula, world masks, where the witness is re-verified with `some(x)`
     `full` if `x` is nonzero, else 0.
 
-    The program comes from `_compiled_program`, kept by the formulas' ids
-    for the last `_COMPILED_MAX` formula tuples searched: only formula
-    objects searched before skip `_compile`, so a fresh process that
-    searches each formula once gains nothing (see the module docstring).
-    Each size runs in one of two forms, picked by its bits a slot, n worlds
-    x relations x masks x valuations: up to `_INT_BITS` the whole size is
-    one chunk of Python ints, `_int_hit`, else numpy chunks, `_array_hit`.
-    The relations are the cached `_frame_table` of the class's relational
-    conditions, read once per n, least in their orbits under the
-    permutations of the worlds (see the module docstring).
+    With `desugared` the one formula is followed by its `desugar`, and the
+    search is None at once where that is the formula itself.  The program
+    comes from `_compiled_program` (see the module docstring).  Each size
+    runs in one of two forms, picked by its bits a slot, n worlds x frames
+    x valuations: up to `_INT_BITS` the whole size is one chunk of Python
+    ints, `_int_hit`, else numpy chunks, `_array_hit`, on the frames of
+    `_frames`, read once per n (see the module docstring).
     The valuations are the codes 0..2^(k*n)-1, packed by `_planes` a range
-    at a time, or, where the formulas' propositional types merge them, the
-    `_table` planes of the smallest valuation of each class, a shorter list
-    in the same order whose first hit is the canonical one (see the module
-    docstring).  The witness valuation is read from the planes the hit was
-    found on, at its bit, its world from re-verification.  The types are
-    computed once, at the first n with more than 64 valuations a frame.
-    A size past k*n = 64 must read the table, as the plain scan's codes stop
-    there.  The table grows with n, so one at `max_n` means one at every
-    smaller n; where there is none, the search is refused with `ValueError`
-    before any size is scanned."""
+    at a time, or the shorter `_table` of the formulas' propositional types,
+    computed at the first n with more than 64 valuations a frame.  The
+    witness valuation is read from the planes at the hit's bit, its world
+    from re-verification.  A size past k*n = 64 must read the table, as the
+    plain scan's codes stop there; the table grows with n, so where there
+    is none at `max_n` the search is refused with `ValueError` at once."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    program, roots, names = _compiled_program(formulas)
+    formulas, program, roots, names = _compiled_program(formulas, desugared)
+    if desugared and formulas[1] is formulas[0]:  # one formula, already in the core language
+        return None
     k = len(names)
     if k * max_n > 64 and ((types := _representatives(program, roots, k)) is None or _table(max_n, k, types) is None):
         raise ValueError(f"{k} variables on {max_n} worlds: a scan of every valuation is limited to "
                          "variables x worlds <= 64")
-    relational = _relational(fc)
     reps = None
     for n in range(1, max_n + 1):
         # at the first n above 64 valuations a frame, where numpy words are full; on ints,
@@ -624,8 +627,8 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
             reps = _representatives(program, roots, k)
         table = None if reps is None else _table(n, k, reps)
         nvals = 1 << (k * n) if table is None else table[1]
-        rows, normals = _frame_table(n, relational), _normals(n, fc, all_points)
-        if n * rows.shape[1] * normals.size * nvals <= _INT_BITS:
+        rows, normals = _frames(n, fc, all_points)
+        if n * normals.size * nvals <= _INT_BITS:
             found = _int_hit(program, roots, hit, n, k, rows, normals, None if table is None else reps)
         else:
             found = _array_hit(program, roots, hit, n, k, rows, normals, table, nvals)
@@ -713,10 +716,6 @@ def rule_preservation_probe(
 
 
 def definability_probe(f: Formula, fc: FrameClass, max_n: int) -> tuple[Model, int] | None:
-    """First point (normal or not) where `f` and `desugar(f)` disagree."""
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
-    g = desugar(f)
-    if g is f:  # f is already in the core language
-        return None
-    return _first_hit((f, g), fc, max_n, lambda normals, full, some, a, b: a ^ b, all_points=True)
+    """First point (normal or not) where `f` and `desugar(f)` disagree, None
+    at once where `f` is already in the core language."""
+    return _first_hit((f,), fc, max_n, lambda normals, full, some, a, b: a ^ b, all_points=True, desugared=True)

@@ -5,9 +5,10 @@ order and evaluates over sets with `extensions`; the engine compiles the
 formulas once and evaluates chunks of frames x valuations.  Both must return
 the same first witness, compared as (frame size, world, model JSON), or
 None on both sides.  Each reduction the engine makes, one valuation per
-propositional type, one relation per isomorphism class and chunks of many
-frames, must leave the first witness as it is: switched off one at a time
-or all together through `SWITCHES`, the engine returns the same.
+propositional type, one relation per isomorphism class, least rows at
+non-normal worlds and chunks of many frames, must leave the first witness
+as it is: switched off one at a time or all together through `SWITCHES`,
+the engine returns the same.
 """
 
 import itertools
@@ -30,6 +31,7 @@ from superstrict.search import (
     _first_hit,
     _frame_block,
     _frame_table,
+    _frames,
     _geometry,
     _normals,
     _orbit_least,
@@ -124,15 +126,17 @@ def full_table(n, fc):
 
 
 # The engine's reductions, each switched off by the `search` attributes it
-# reads: no type table, the full relation table, one frame a chunk, and
-# numpy chunks at every size.
+# reads: no type table, the full relation table, every frame whatever the
+# rows of its non-normal worlds, one frame a chunk, and numpy chunks at
+# every size.
 SWITCHES = {
     "types": {"_representatives": lambda *args: None},
     "orbits": {"_frame_table": full_table},
+    "idle": {"_idle_least": lambda fc: False},
     "chunks": {"_CHUNK_BYTES": 1},
     "ints": {"_INT_BITS": 0},
 }
-SWITCHES["all"] = SWITCHES["types"] | SWITCHES["orbits"] | SWITCHES["chunks"] | SWITCHES["ints"]
+SWITCHES["all"] = SWITCHES["types"] | SWITCHES["orbits"] | SWITCHES["idle"] | SWITCHES["chunks"] | SWITCHES["ints"]
 
 
 def switch_off(mp, *switches):
@@ -143,7 +147,7 @@ def switch_off(mp, *switches):
 
 def plain_scan(mp):
     """Make `_first_hit` scan every valuation code of every relation: no
-    propositional types and no orbit reduction."""
+    propositional types and no orbit reduction (the idle rows stay least)."""
     switch_off(mp, "types", "orbits")
 
 
@@ -371,20 +375,21 @@ def valuation_code(mj):
 
 def test_witness_beyond_the_first_chunk():
     # 3 variables at n = 3: 512 valuations, 8 uint64 words a frame and world,
-    # so at 1/32 of the default budget a chunk holds one relation with its 7
-    # normality masks; the witness is relation 7 under mask 0.
+    # so at 1/32 of the default budget a chunk holds 8 frames; the witness is
+    # frame 23 of the 153 the search reads (later on the plain scan), past
+    # the first two chunks.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_CHUNK_BYTES", 1 << 15)
-        rstep, gstep, _ = chunk_geometry([THREE_SUCCESSORS], 3, S2_0)
-        assert (rstep, gstep) == (1, 7)
+        fstep = chunk_geometry([THREE_SUCCESSORS], 3)
+        assert fstep == 8
         key = countermodel_key(THREE_SUCCESSORS, S2_0, 3)
         assert key == THREE_SUCCESSORS_WITNESS
         assert probe_key(rule_probe_witness([parse("dia s -> s")], THREE_SUCCESSORS, S2_0, 3)) == key
     n, world, mj = key
     assert not eval_json(mj, world, THREE_SUCCESSORS)
-    frames = [fr for fr in enumerate_frames(n, S2_0) if fr.normals]
-    position = next(i for i, fr in enumerate(frames) if frame_to_json(fr) | {"val": mj["val"]} == mj)
-    assert position >= rstep * gstep
+    rows, normals = _frames(n, S2_0, False)
+    read = [frame_to_json(Frame(n, tuple(rows[:, i].tolist()), int(normals[i]))) for i in range(normals.size)]
+    assert read.index({x: mj[x] for x in ("worlds", "rel", "normals")}) >= 2 * fstep
 
 
 def test_valuations_beyond_the_pair_budget():
@@ -498,12 +503,12 @@ def test_ex_temporaries_stay_small():
     assert peak < 1_250_000
 
 
-# Chunk geometries.  The frame table is relations x normality masks, and a
-# chunk crosses `rstep` relations with `gstep` consecutive masks: every mask
-# of several relations when their `fstep` frames keep the program's planes
-# within `_CHUNK_BYTES`, else one relation and a group of masks, and one
-# frame alone when its valuations are walked in ranges.  The first witness
-# is the first (relation, mask, valuation) in that row-major order.
+# Chunk geometries.  A size's frames are one list of (relation, mask) pairs
+# in canonical order, and a chunk holds `fstep` consecutive frames: as many
+# as keep the program's planes within `_CHUNK_BYTES`, which may be every
+# mask of several relations or some masks of one, and one frame alone when
+# its valuations are walked in ranges.  The first witness is the first
+# (frame, valuation) in that row-major order.
 STAR = FrameClass(serial=True, symmetric=True)  # the first relation at n = 4: 0, 1 and 2 see 3, 3 sees them
 # a countermodel, a rule probe (premises, conclusion) and a definability
 # probe whose first witnesses are stars at n = 4
@@ -512,24 +517,22 @@ STAR_RULE = [parse("p -> p")], parse("~(r & dia (~r & p & q) & dia (~r & p & ~q)
 STAR_G = parse("r & ((~r & p & q & ~dia top) |> top) & ((~r & p & ~q) |> top) & ((~r & ~p) |> top)")
 
 
-def chunk_geometry(fs, n, fc, all_points=False):
-    """(relations, masks) a chunk holds on the plain scan of the formulas
-    `fs` at n worlds, and the class's masks."""
+def chunk_geometry(fs, n):
+    """The frames a chunk holds on the plain scan of the formulas `fs` at n worlds."""
     program, _, names = _compile(fs)
-    masks = _normals(n, fc, all_points).size
-    fstep = _geometry(len(program), n, 1 << len(names) * n)[1]
-    gstep = min(fstep, masks)
-    return fstep // gstep, gstep, masks
+    return _geometry(len(program), n, 1 << len(names) * n)[1]
 
 
 def test_several_relations_by_all_masks():
     f = parse("box dia top & (box box top | box ~box top)")
     g = parse("~dia top |> top")
-    assert chunk_geometry([f], 2, S2_0) == (7598, 3, 3)  # 23 slots of 2 worlds x 1 byte a frame
-    assert chunk_geometry([g, desugar(g)], 2, S2_0, all_points=True) == (4854, 4, 4)
+    assert chunk_geometry([f], 2) == 22795  # 23 slots of 2 worlds x 1 byte a frame
+    assert chunk_geometry([g, desugar(g)], 2) == 19418
+    # every frame of the size in one chunk: 15 of s2_0, 16 with all points
+    assert _frames(2, S2_0, False)[1].size <= 22795 and _frames(2, S2_0, True)[1].size <= 19418
     # relation 2 (1 sees 0) fails `box dia top` only when both worlds are
-    # normal, the last mask; relation 3 (1 sees 0 and itself), next in the
-    # same chunk, fails the disjunction at world 1 under the first mask
+    # normal, its last frame; relation 3 (1 sees 0 and itself), next in the
+    # same chunk, fails the disjunction at world 1 in its first frame
     f = parse("box dia top & (box box top | box ~box top)")
     key = countermodel_key(f, S2_0, 2)
     assert key == oracle_countermodel(f, S2_0, 2)
@@ -548,32 +551,37 @@ def test_several_relations_by_all_masks():
 
 
 def test_one_relation_split_into_mask_groups():
-    # 3 variables at n = 4: 64 uint64 words a frame and world.  At the default
-    # budget the 61 slots of the definability probe split the 16 masks in
-    # two; the 33 and 24 slots of the other two searches take all 15 at once,
-    # so the searches run at half the default budget, where each one splits.
+    # 3 variables at n = 4: 64 uint64 words a frame and world.  A serial and
+    # symmetric class keeps every mask of every relation, so each relation's
+    # 15 frames, 16 with all points, are consecutive.  At the default budget
+    # the 61 slots of the definability probe take 8 frames a chunk and split
+    # them in two; the 33 and 24 slots of the other two searches take 15
+    # frames, so the searches run at half the default budget, where each
+    # one splits.
     f, (premises, conclusion), g = STAR_F, STAR_RULE, STAR_G
-    assert chunk_geometry([f], 4, STAR) == (1, 15, 15)
-    assert chunk_geometry([g, desugar(g)], 4, STAR, all_points=True) == (1, 8, 16)
+    relations = search._frame_table(4, STAR).shape[1]  # the table the search reads
+    assert _frames(4, STAR, False)[1].size == relations * 15 and _frames(4, STAR, True)[1].size == relations * 16
+    assert chunk_geometry([f], 4) == 15
+    assert chunk_geometry([g, desugar(g)], 4) == 8
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_CHUNK_BYTES", 1 << 19)
-        assert chunk_geometry([f], 4, STAR) == (1, 7, 15)
-        assert chunk_geometry([conclusion, *premises], 4, STAR) == (1, 10, 15)
-        assert chunk_geometry([g, desugar(g)], 4, STAR, all_points=True) == (1, 4, 16)
+        assert chunk_geometry([f], 4) == 7
+        assert chunk_geometry([conclusion, *premises], 4) == 10
+        assert chunk_geometry([g, desugar(g)], 4) == 4
         # three normal successors with distinct valuations, none of them the
         # world itself: the star with all four worlds normal, the last mask,
-        # alone in the third group
+        # in the third chunk
         assert find_countermodel(f, STAR, 3) is None
         key = countermodel_key(f, STAR, 4)
         assert key == oracle_countermodel(f, STAR, 4, min_n=4)
         assert key[:2] == (4, 3) and key[2]["rel"] == [[3], [3], [3], [0, 1, 2]] and key[2]["normals"] == [0, 1, 2, 3]
-        # the same successors, normal or not: the first mask of the first group
+        # the same successors, normal or not: the first frame of the first chunk
         assert rule_probe_witness(premises, conclusion, STAR, 3) is None
         wit = probe_key(rule_probe_witness(premises, conclusion, STAR, 4))
         assert wit == oracle_rule(premises, conclusion, STAR, 4, min_n=4)
         assert wit[2]["normals"] == [3]
         # a normal world whose successors include a non-normal one: mask 1 of
-        # 0..15, in the first of four groups
+        # 0..15, in the first of four chunks
         assert definability_probe(g, STAR, 3) is None
         wit = probe_key(definability_probe(g, STAR, 4))
         assert wit == oracle_definability(g, STAR, 4, min_n=4)
@@ -584,7 +592,7 @@ def test_one_frame_with_valuation_ranges():
     # 8 variables at n = 2: 2^16 valuations of each of the 3 masks, walked in
     # two ranges; the first relation is 0 <-> 1
     f = parse("(dia a & ~box box top) -> (b & c & d & e & f & g & h & bot)")
-    assert chunk_geometry([f], 2, STAR) == (1, 1, 3)
+    assert chunk_geometry([f], 2) == 1
     key = countermodel_key(f, STAR, 2)
     assert key == oracle_countermodel(f, STAR, 2)
     assert key == (2, 1, {"worlds": 2, "rel": [[1], [0]], "normals": [1], "val": {"a": [0], **{x: [] for x in "bcdefgh"}}})
@@ -598,8 +606,8 @@ def test_one_frame_with_valuation_ranges():
 # as it runs: a catalog test and a random-formula test per switch, each
 # bound to a name below.  Besides the catalog at its bounds, the formula of
 # `test_several_relations_by_all_masks`, whose first hit lies in the last
-# mask of one relation with a hit in the first mask of the next, so a chunk
-# decoded mask-major returns the wrong one.
+# frame of one relation with a hit in the first frame of the next, so a
+# chunk decoded in any order but the frames' returns the wrong one.
 CATALOG_CASES = [
     *(pytest.param(e.formula, e.frame_class, e.bound, id=e.name) for e in CATALOG),
     pytest.param(parse("box dia top & (box box top | box ~box top)"), S2_0, 2, id="first_hit_in_a_late_mask"),
@@ -634,6 +642,8 @@ test_catalog_witness_does_not_depend_on_the_types = catalog_test("types")
 test_random_formulas_witness_does_not_depend_on_the_types = random_test("types")
 test_catalog_witness_does_not_depend_on_the_orbit_reduction = catalog_test("orbits")
 test_random_formulas_witness_does_not_depend_on_the_orbit_reduction = random_test("orbits")
+test_catalog_witness_does_not_depend_on_the_idle_rows = catalog_test("idle")
+test_random_formulas_witness_does_not_depend_on_the_idle_rows = random_test("idle")
 test_witness_does_not_depend_on_the_budget = catalog_test("chunks")
 test_random_formulas_witness_does_not_depend_on_the_budget = random_test("chunks")
 test_catalog_witness_does_not_depend_on_the_int_path = catalog_test("ints")
@@ -678,7 +688,7 @@ def test_cached_arrays_are_read_only():
     # every later search reads them: a write into one would change its masks or decodes
     table = _table(4, 3, reps_of(CATALOG_BY_NAME["ssi_transitivity"].formula))
     arrays = [_reversal(3), *(_normals(3, fc, all_points) for fc in (S2_0, NAMED_CLASSES["kt"]) for all_points in (False, True)),
-              *_relabellings(3), _frame_table(3, S2_0), *table[0], *_planes(3, 2, 0, 64)]
+              *_relabellings(3), _frame_table(3, S2_0), *_frames(3, S2_0, False), *table[0], *_planes(3, 2, 0, 64)]
     assert not any(a.flags.writeable for a in arrays)
 
 
@@ -705,17 +715,23 @@ def test_enumerate_frames_decodes_as_it_yields():
 # under the n! permutations of the worlds.  A permutation maps a frame of a
 # class to one of the class and a hit to a hit, so the first hit's relation
 # is least in its orbit, and the first witness must be the one the full
-# table gives, whose frames `enumerate_frames` still yields.
+# table gives, whose frames `enumerate_frames` still yields.  The counts are
+# the classes' relations up to isomorphism, terms of sequences in the OEIS
+# (https://oeis.org), so they do not come from the code.
 KEPT = {  # relations the search reads at n = 1, 2, ...: one per isomorphism class
-    "s2_0": (2, 10, 104, 3044), "k": (2, 10, 104, 3044),  # loop-digraphs
-    "s2": (1, 3, 16, 218), "kt": (1, 3, 16, 218),  # digraphs, a loop at each world
-    # preorders; at n = 5 the table joins the kept columns of 2,048 code blocks
+    "s2_0": (2, 10, 104, 3044), "k": (2, 10, 104, 3044),  # binary relations, A000595
+    "s2": (1, 3, 16, 218), "kt": (1, 3, 16, 218),  # digraphs, A000273; a loop at each world
+    # preorders, A001930; at n = 5 the table joins the kept columns of 2,048 code blocks
     "s3": (1, 3, 9, 33, 139), "s4": (1, 3, 9, 33, 139),
+    "kb": (2, 6, 20, 90),  # undirected graphs with loops allowed, A000666
+    "ktb": (1, 2, 4, 11),  # simple graphs, A000088; a loop at each world
+    "s5": (1, 2, 3, 5),  # equivalence relations up to isomorphism: partitions of n, A000041
 }
 FRAMES = {  # frames `enumerate_frames` yields at n = 1..4: every relation by every mask
     "s2_0": (4, 64, 4096, 1 << 20), "k": (2, 16, 512, 1 << 16),
     "s2": (2, 16, 512, 1 << 16), "kt": (1, 4, 64, 4096),
     "s3": (2, 16, 232, 5680), "s4": (1, 4, 29, 355),
+    "kb": (2, 8, 64, 1024), "ktb": (1, 2, 8, 64), "s5": (1, 2, 5, 15),
 }
 
 
@@ -730,6 +746,69 @@ def test_search_reads_one_relation_per_isomorphism_class(class_name):
             assert sum(1 for _ in enumerate_frames(n, fc)) == count
         else:  # the 2^20 frames of s2_0 at n = 4 take seconds to yield: count the table they come from
             assert full_table(n, relational).shape[1] * _normals(n, fc, True).size == count
+
+
+# Of the orbit-least relations under every mask, the search reads only the
+# frames whose non-normal worlds have the least rows the class allows: a
+# non-normal world's successors change no truth value, so the first hit's
+# idle rows are least.  Only classes whose relational conditions come from
+# reflexivity and transitivity keep a frame when its idle rows are replaced.
+FRAMES_READ = {  # at n = 1..4, (relations x masks where it differs)
+    "s2_0": (2, 15, 153, 3955),  # (2, 30, 728, 45,660)
+    "s2": (1, 6, 34, 377),  # (1, 9, 112, 3,270)
+    "s3": (1, 6, 25, 111),  # (1, 9, 63, 495)
+    "k": KEPT["k"], "kt": KEPT["kt"], "s4": KEPT["s4"][:4],  # every world normal: no idle rows
+}
+
+
+@pytest.mark.parametrize("class_name", sorted(FRAMES_READ))
+def test_search_reads_frames_with_least_idle_rows(class_name):
+    fc = NAMED_CLASSES[class_name]
+    assert tuple(_frames(n, fc, False)[1].size for n in range(1, 5)) == FRAMES_READ[class_name]
+    for n in range(1, 4):
+        rows, normals = _frames(n, fc, True)
+        frames = [Frame(n, tuple(rows[:, i].tolist()), int(normals[i])) for i in range(normals.size)]
+        # the canonical code: b(0,0) .. b(n-1,n-1) m(0) .. m(n-1), big-endian
+        bits = [[fr.rel[i] >> j & 1 for i in range(n) for j in range(n)] + [fr.normals >> j & 1 for j in range(n)]
+                for fr in frames]
+        codes = [int("".join(map(str, b)), 2) for b in bits]
+        assert codes == sorted(set(codes))
+        for fr in frames:
+            assert all(fr.normals >> w & 1 or fr.rel[w] == (1 << w if fc.reflexive else 0) for w in range(n))
+
+
+SCOPED = [FrameClass(serial=True), FrameClass(symmetric=True), FrameClass(euclidean=True),
+          FrameClass(reflexive=True, transitive=True, euclidean=True), STAR]
+
+
+@pytest.mark.parametrize("fc", SCOPED, ids=str)
+def test_idle_rows_are_kept_where_seriality_symmetry_or_euclideanness_may_fail(fc):
+    # an empty or self-loop row can break these conditions, so every
+    # orbit-least relation is read under every mask, in canonical order
+    for n in range(1, 5):
+        for all_points in (False, True):
+            table, masks = _frame_table(n, replace(fc, all_normal=False)), _normals(n, fc, all_points)
+            rows, normals = _frames(n, fc, all_points)
+            assert np.array_equal(rows, np.repeat(table, masks.size, axis=1))
+            assert np.array_equal(normals, np.tile(masks, table.shape[1]))
+
+
+def test_each_frame_switch_reaches_a_warm_scan():
+    # with the frame lists cached, switching a reduction off must still change
+    # what the scan reads, or the differential tests above would test nothing
+    def read_at_four(*switches):
+        with pytest.MonkeyPatch.context() as mp:
+            switch_off(mp, *switches)
+            read, frames = {}, search._frames
+            mp.setattr(search, "_frames", lambda n, *args: read.setdefault(n, frames(n, *args)))
+            assert rule_probe_witness([parse("p |> q"), parse("p")], parse("q"), S2, 4) is None
+        return read[4][1].size
+
+    assert read_at_four() == 377
+    assert read_at_four("idle") == 3270  # 218 relations x 15 masks
+    assert read_at_four("orbits") == 6560  # of the 4,096 relations, least idle rows
+    assert read_at_four("idle", "orbits") == 4096 * 15  # as "all" reads them
+    assert read_at_four() == 377
 
 
 def test_orbit_least_against_every_permutation():
@@ -792,9 +871,9 @@ def test_on_the_plain_scan(case, monkeypatch):
 
 
 # Each size runs on Python ints up to `_INT_BITS` bits a slot, n worlds x
-# relations x masks x valuations, else on numpy chunks; the "ints" switch
-# above runs numpy at every size.  One int a slot holds the whole size, its
-# planes in canonical (relation, mask, valuation) order, so the first hit is
+# frames x valuations, else on numpy chunks; the "ints" switch above runs
+# numpy at every size.  One int a slot holds the whole size, its planes in
+# canonical (frame, valuation) order, so the first hit is
 # the lowest bit of the planes ORed and its world the lowest plane holding it.
 def forms_of_run(mp):
     """The (n, form) of each size a search evaluates from now on: "int" or "array"."""
@@ -816,8 +895,8 @@ def test_small_sizes_run_on_ints_and_large_ones_on_numpy(monkeypatch):
     run_suite(2)
     assert len(calls) > len(CATALOG) and {form for _, form in calls} == {"int"}
     calls.clear()
-    # super-strict detachment over s2 at n = 4: 218 relations x 15 masks x 256 valuations on 4 worlds,
-    # 3.35 Mbit a slot, where numpy computes a slot that never meets the normal points once per relation
+    # super-strict detachment over s2 at n = 4: 377 frames x 256 valuations on 4 worlds, 386 kbit a
+    # slot, where numpy computes a slot that never meets the normal points or a successor once per chunk
     assert rule_probe_witness([parse("p |> q"), parse("p")], parse("q"), S2, 4) is None
     assert {form for n, form in calls if n < 4} == {"int"} and len([n for n, _ in calls if n < 4]) == 3
     assert {form for n, form in calls if n == 4} == {"array"}
@@ -839,7 +918,7 @@ def test_ints_at_every_size_agree_with_oracle(class_name, f, other):
 
 
 # 15 variables, each only under `dia`, so no two valuations share a type:
-# at n = 1 over s2_0 a slot is 2 relations x 1 mask x 2^15 valuations, 2^16
+# at n = 1 over s2_0 a slot is 2 frames (1 mask) x 2^15 valuations, 2^16
 # bits, the budget exactly.  The formula fails only where world 0 sees
 # itself, the last relation, with every variable true, the last valuation.
 AT_BUDGET = parse(" & ".join(f"dia x{i:02}" for i in range(15)) + " -> bot")
@@ -861,20 +940,23 @@ def test_slot_at_the_int_budget_and_one_bit_above():
 
 def test_int_witnesses_at_the_ends_of_the_planes(monkeypatch):
     calls = forms_of_run(monkeypatch)
-    # the last bit of the slot: relation 1 of 2, mask 0 of 1, valuation 2^15 - 1 of 2^15, world 0
+    # the last bit of the slot: frame 1 of 2, valuation 2^15 - 1 of 2^15, world 0
     assert countermodel_key(AT_BUDGET, S2_0, 1) == AT_BUDGET_WITNESS
-    # the last relation of 10, the full one, the last of its 3 masks, both worlds normal, and world 1:
-    # a p-world and a non-p world that see each other and themselves, with p at world 1 the first such valuation
+    # the last frame of 15: the last relation of 10, the full one, under the last of its 3 masks, both
+    # worlds normal, and world 1: a p-world and a non-p world that see each other and themselves, with
+    # p at world 1 the first such valuation
     f = parse("p -> ~(dia p & dia ~p & box (dia p & dia ~p) & box box top)")
     key = (2, 1, {"worlds": 2, "rel": [[0, 1], [0, 1]], "normals": [0, 1], "val": {"p": [1]}})
     assert _frame_table(2, S2_0)[:, -1].tolist() == [3, 3] and _normals(2, S2_0, False)[-1] == 3
+    rows, normals = _frames(2, S2_0, False)
+    assert normals.size == 15 and rows[:, -1].tolist() == [3, 3] and normals[-1] == 3
     assert countermodel_key(f, S2_0, 2) == oracle_countermodel(f, S2_0, 2) == key
     assert probe_key(rule_probe_witness([parse("p -> p")], f, S2_0, 2)) == key
     assert {form for _, form in calls} == {"int"}
     with pytest.MonkeyPatch.context() as mp:  # numpy finds the same
         switch_off(mp, "ints")
         assert countermodel_key(f, S2_0, 2) == key
-    # world 2, the top plane of three, at 3 x 104 x 7 x 512 bits a slot: numpy unless forced onto ints
+    # world 2, the top plane of three, at 3 x 153 frames x 512 bits a slot: numpy unless forced onto ints
     calls.clear()
     monkeypatch.setattr(search, "_INT_BITS", 1 << 40)
     assert countermodel_key(THREE_SUCCESSORS, S2_0, 3) == THREE_SUCCESSORS_WITNESS
@@ -915,6 +997,24 @@ def test_a_formula_object_compiles_once(monkeypatch):
     h = parse("p |> q")  # equal to f, but a new object
     assert find_countermodel(h, S2, 2) is not None
     assert len(compiled) == 3 and compiled[-1][0] is h
+
+
+def test_a_repeated_definability_probe_compiles_once(monkeypatch):
+    # `desugar` builds a new formula on every call, so the probe keys its
+    # program by the formula it was given, not by the pair it compiles
+    compiled = count_compiles(monkeypatch)
+    rewritten = []
+    monkeypatch.setattr(search, "desugar", lambda f: rewritten.append(f) or desugar(f))
+    f = parse("p |> q")
+    entries = len(search._compiled)
+    wits = [probe_key(definability_probe(f, S2, 2)) for _ in range(3)]
+    assert wits[0] == wits[1] == wits[2] == oracle_definability(f, S2, 2)
+    assert len(compiled) == 1 and compiled[0][0] is f and compiled[0][1] == desugar(f)
+    assert rewritten == [f] and len(search._compiled) == min(entries + 1, search._COMPILED_MAX)
+    assert find_countermodel(f, S2, 2) is not None and len(compiled) == 2  # a countermodel search is its own entry
+    g = parse("p & q")  # already in the core language: no search
+    assert definability_probe(g, S2, 2) is None and definability_probe(g, S2, 2) is None
+    assert len(compiled) == 3 and rewritten == [f, g]
 
 
 def test_the_suite_stays_compiled_between_other_searches(monkeypatch):
