@@ -115,8 +115,9 @@ image valuation.  The frames that hit are therefore a union of orbits, and
 as canonical order is relation-major, the first of them has the least
 relation code of its orbit: a smaller image would carry a hit on an earlier
 frame.  So `_frame_table` keeps of the relations that meet the class
-conditions only those that `_orbit_least`, trying one permutation at a time
-on the relations still in, finds no smaller than any of their n! images.
+conditions, stated by `semantics.relation_satisfies`, only those that
+`_orbit_least`, trying one permutation at a time on the relations still in,
+finds no smaller than any of their n! images.
 It is built once per n and relational conditions, the class without
 `all_normal`, and kept for every n.  This is orderly generation (Read 1978,
 "Every one a winner"; McKay 1998, "Isomorph-free exhaustive generation").
@@ -154,6 +155,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
+from . import semantics
 from .semantics import Frame, FrameClass, Model, extension, holds, satisfies_class
 from .semantics import relation_satisfies  # noqa: F401  callers look it up here
 from .syntax import And, Bot, Box, Dia, Formula, Imp, Or, Ssi, Sssi, Strict, Var, desugar, fold
@@ -237,22 +239,10 @@ def _orbit_least(rows: np.ndarray) -> np.ndarray:
 def _frame_block(n: int, fc: FrameClass, lo: int) -> np.ndarray:
     """The successor rows, shape (n, relations), of the relation codes in
     [lo, lo + _CODES) that meet the relational conditions of `fc`, in
-    canonical order."""
+    canonical order, as `semantics.relation_satisfies` states them, read
+    there: a caller may wrap `search.relation_satisfies` for one frame."""
     rows = _groups(np.arange(lo, min(lo + _CODES, 1 << n * n), dtype=np.uint64), n, n)
-    ok = np.ones(rows[0].shape, dtype=bool)
-    for w, rw in enumerate(rows):
-        if fc.reflexive:
-            ok &= (rw >> w & 1) == 1
-        if fc.serial:
-            ok &= rw != 0
-        for v, rv in enumerate(rows):
-            edge = (rw >> v & 1) == 1
-            if fc.symmetric:
-                ok &= ~edge | ((rv >> w & 1) == 1)
-            if fc.transitive:
-                ok &= ~edge | (rv & ~rw == 0)
-            if fc.euclidean:
-                ok &= ~edge | (rw & ~rv == 0)
+    ok = np.broadcast_to(semantics.relation_satisfies(rows, n, fc), rows[0].shape)  # a plain True without a condition
     # row by row, so the table is C-ordered: `np.stack(rows)[:, ok]` is not,
     # and its strides slow every operation in `_run` that broadcasts
     return np.stack([rw[ok] for rw in rows])
@@ -297,8 +287,8 @@ def _cut_frames(n: int, fc: FrameClass, all_points: bool, idle: bool,
     keep = np.ones((rows.shape[1], normals.size), dtype=bool)
     for w in range(n) if idle else ():
         keep &= (normals >> w & 1 == 1) | (rows[w] == rows[w].min(initial=(1 << n) - 1))[:, None]
-    r, m = np.nonzero(keep)  # relation-major
-    return _frozen(rows.take(r, axis=1), normals.take(m))
+    # relation-major, each relation repeated once per mask it keeps: no index arrays
+    return _frozen(rows.repeat(keep.sum(axis=1), axis=1), np.broadcast_to(normals, keep.shape)[keep])
 
 
 def _pack(n: int, masks: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:

@@ -4,6 +4,9 @@ Worlds are integers 0..n-1.  Successor sets, the set of normal points, and
 variable extensions are all bitmasks (bit w = world w).  A frame whose
 points are all normal behaves exactly like a plain Kripke frame.
 
+`relation_satisfies` is the one statement of the relational conditions, on
+a frame's rows here and on the search's blocks of relation codes alike.
+
 `extension` evaluates the boolean connectives on whole masks and reads the
 truth clause of each modal connective at a world from `_CLAUSES`, the one
 statement of those clauses.  It is independent of the search's lowering,
@@ -135,30 +138,25 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def relation_satisfies(rel: tuple[int, ...], n: int, fc: FrameClass) -> bool:
-    """Check the relational conditions of `fc` (everything but all_normal)."""
-    full = (1 << n) - 1
-    if fc.reflexive and any(not rel[w] >> w & 1 for w in range(n)):
-        return False
-    if fc.serial and any(rel[w] == 0 for w in range(n)):
-        return False
-    if fc.symmetric:
-        for w in range(n):
-            for v in _bits(rel[w]):
-                if not rel[v] >> w & 1:
-                    return False
-    if fc.transitive:
-        for w in range(n):
-            for v in _bits(rel[w]):
-                if rel[v] & ~rel[w] & full:
-                    return False
-    if fc.euclidean:
-        for w in range(n):
-            s = rel[w]
-            for v in _bits(s):
-                if s & ~rel[v] & full:
-                    return False
-    return True
+def relation_satisfies(rel: Sequence, n: int, fc: FrameClass):
+    """Whether the successor masks `rel[w]` meet the conditions of `fc` but
+    all_normal: ints give a bool, numpy arrays of masks, one per relation, a
+    bool array, as `>>`, `&`, `|`, `==` and `!=` act alike on both."""
+    ok = True
+    for w in range(n):
+        s = rel[w]
+        if fc.reflexive:
+            ok &= s >> w & 1 == 1
+        if fc.serial:
+            ok &= s != 0
+        for v in range(n):
+            if fc.symmetric:  # w sees v just when v sees w
+                ok &= s >> v & 1 == rel[v] >> w & 1
+            if fc.transitive:  # where w sees v, v's successors are w's
+                ok &= (s >> v & 1 == 0) | (rel[v] | s == s)
+            if fc.euclidean:  # where w sees v, w's successors are v's
+                ok &= (s >> v & 1 == 0) | (s | rel[v] == rel[v])
+    return ok
 
 
 def satisfies_class(frame: Frame, fc: FrameClass) -> bool:

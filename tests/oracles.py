@@ -154,6 +154,17 @@ def normal_eval_json(mj: dict, w: int, f: Formula) -> bool:
     return ev(w, f)
 
 
+# The relational conditions of a frame class, and every set of them as
+# `naive_frames` keywords: 32 sets.
+RELATIONAL = ("reflexive", "transitive", "serial", "symmetric", "euclidean")
+CONDITION_SETS = [dict(zip(RELATIONAL, bits)) for bits in itertools.product((False, True), repeat=len(RELATIONAL))]
+
+
+def condition_id(conditions: dict[str, bool]) -> str:
+    """A test id for a set of conditions: the names that hold, joined by '+'."""
+    return "+".join(name for name, on in conditions.items() if on) or "none"
+
+
 def naive_frames(
     n: int,
     *,

@@ -33,6 +33,7 @@ from superstrict.search import (
     _frame_table,
     _frames,
     _geometry,
+    _idle_least,
     _normals,
     _orbit_least,
     _planes,
@@ -50,7 +51,7 @@ from superstrict.syntax import And, Box, Dia, Formula, Or, Var, desugar, parse, 
 
 import test_cli
 import test_search
-from oracles import eval_json, extensions, naive_frames, representatives
+from oracles import CONDITION_SETS, condition_id, eval_json, extensions, naive_frames, representatives
 from strategies import formulas
 
 
@@ -791,6 +792,33 @@ def test_idle_rows_are_kept_where_seriality_symmetry_or_euclideanness_may_fail(f
             rows, normals = _frames(n, fc, all_points)
             assert np.array_equal(rows, np.repeat(table, masks.size, axis=1))
             assert np.array_equal(normals, np.tile(masks, table.shape[1]))
+
+
+@pytest.mark.parametrize("conditions", [c for c in CONDITION_SETS if _idle_least(FrameClass(**c))], ids=condition_id)
+def test_least_idle_rows_keep_a_frame_in_its_class(conditions):
+    # the premise of the idle-row cut, judged by the oracle's conditions: making
+    # each non-normal world's row least, empty or the world itself under
+    # reflexivity, leaves every frame in the class
+    for n in range(1, 4):
+        members = {frozenset(edges) for edges, _ in naive_frames(n, all_normal=True, **conditions)}
+        for edges, normals in naive_frames(n, **conditions):
+            least = {(w, w) for w in range(n) if w not in normals} if conditions["reflexive"] else set()
+            assert frozenset({(i, j) for i, j in edges if i in normals} | least) in members
+
+
+def test_frame_list_takes_no_index_arrays():
+    # a serial class with non-normal worlds reads every mask of every relation:
+    # 35,100 frames at n = 4, 175,500 bytes, and index arrays would add 16 a frame
+    fc = FrameClass(serial=True)
+    _frame_table(4, fc)
+    tracemalloc.start()
+    try:
+        rows, normals = search._cut_frames.__wrapped__(4, fc, False, _idle_least(fc), _frame_table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert normals.size == 35100
+    assert peak < 2 * (rows.nbytes + normals.nbytes)
 
 
 def test_each_frame_switch_reaches_a_warm_scan():

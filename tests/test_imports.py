@@ -62,6 +62,22 @@ def test_every_private_definition_is_read():
     assert set().union(*map(private_definitions, trees)) - read == set()
 
 
+# The functions that may read a relational condition of a `FrameClass`: the
+# one statement of the conditions, and the test of which of them let a
+# search make idle rows least.
+CONDITION_READERS = {("semantics", "relation_satisfies"), ("search", "_idle_least")}
+
+
+def test_frame_conditions_are_read_in_one_place():
+    fields = {"reflexive", "transitive", "serial", "symmetric", "euclidean"}
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(isinstance(node, ast.Attribute) and node.attr in fields for node in ast.walk(top)):
+                readers.add((path.stem, getattr(top, "name", None)))
+    assert readers == CONDITION_READERS
+
+
 # Commands that never search, then one search; one JSON line on stdout.
 LAZY_NUMPY = """
 import contextlib, io, json, sys

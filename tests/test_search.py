@@ -29,8 +29,17 @@ from superstrict.semantics import (
 )
 from superstrict.syntax import And, Box, Dia, Imp, Or, Ssi, Sssi, Strict, desugar, modal_depth, parse, top
 
-from oracles import naive_frames
+from oracles import CONDITION_SETS, condition_id, naive_frames
 from strategies import extensional_formulas, formulas
+
+# Every frame class: each set of relational conditions, with and without all_normal.
+EVERY_CLASS = [{**conditions, "all_normal": all_normal} for conditions in CONDITION_SETS for all_normal in (False, True)]
+CLASS_NAMES = {fc: name for name, fc in NAMED_CLASSES.items()}
+
+
+def class_id(conditions: dict[str, bool]) -> str:
+    """The class's name where it has one, so a named class keeps its test id."""
+    return CLASS_NAMES.get(FrameClass(**conditions)) or condition_id(conditions)
 
 
 def frame_as_sets(frame: Frame) -> tuple[set, set]:
@@ -52,25 +61,10 @@ class TestEnumeration:
         assert len(list(enumerate_frames(n, S2_0))) == 2 ** (n * n + n)
 
     @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize(
-        "class_name", ["s2_0", "s2", "s3", "k", "kd", "kt", "kb", "k4", "k5", "s4", "s5"]
-    )
-    def test_stream_matches_naive_enumerator(self, n, class_name):
-        fc = NAMED_CLASSES[class_name]
-        mine = [frame_as_sets(f) for f in enumerate_frames(n, fc)]
-        naive = [
-            (edges, normals)
-            for edges, normals in naive_frames(
-                n,
-                reflexive=fc.reflexive,
-                transitive=fc.transitive,
-                serial=fc.serial,
-                symmetric=fc.symmetric,
-                euclidean=fc.euclidean,
-                all_normal=fc.all_normal,
-            )
-        ]
-        assert mine == naive
+    @pytest.mark.parametrize("conditions", EVERY_CLASS, ids=class_id)
+    def test_stream_matches_naive_enumerator(self, n, conditions):
+        mine = [frame_as_sets(f) for f in enumerate_frames(n, FrameClass(**conditions))]
+        assert mine == list(naive_frames(n, **conditions))
 
     def test_stream_matches_naive_enumerator_three_worlds(self):
         fc = S3

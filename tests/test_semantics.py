@@ -1,5 +1,6 @@
 """Frames, models, truth clauses, and their cross-checks."""
 
+import itertools
 import json
 
 import pytest
@@ -40,7 +41,7 @@ from superstrict.syntax import (
     to_strict_language,
 )
 
-from oracles import eval_json, normal_eval_json
+from oracles import CONDITION_SETS, condition_id, eval_json, naive_frames, normal_eval_json
 from strategies import formulas, model_world_pairs, models
 
 P, Q = Var("p"), Var("q")
@@ -80,6 +81,19 @@ class TestFrameClass:
         # 0 -> 1 -> 0 without 0 -> 0 is not transitive and not euclidean
         assert not relation_satisfies((2, 1), 2, FrameClass(transitive=True))
         assert not relation_satisfies((2, 1), 2, FrameClass(euclidean=True))
+
+    @pytest.mark.parametrize("conditions", CONDITION_SETS, ids=condition_id)
+    def test_relation_satisfies_matches_oracle(self, conditions):
+        # every relation on up to three worlds, against the oracle's conditions
+        fc = FrameClass(**conditions)
+        for n in range(1, 4):
+            mine = set()
+            for rel in itertools.product(range(1 << n), repeat=n):
+                ok = relation_satisfies(rel, n, fc)
+                assert type(ok) is bool
+                if ok:
+                    mine.add(frozenset((i, j) for i in range(n) for j in range(n) if rel[i] >> j & 1))
+            assert mine == {frozenset(edges) for edges, _ in naive_frames(n, all_normal=True, **conditions)}
 
 
 class TestFrameModelConstruction:
