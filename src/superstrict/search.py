@@ -17,9 +17,13 @@ shared subformula DAG, built from conjunction, disjunction, material
 implication, "some successor is in" and the set of normal points.  For each
 n it reads one list of frames, `_frames`, in canonical order: a frame is a
 relation plus a set of normal worlds, as in Kripke's semantics for
-non-normal logics, and the list takes the relations of the class,
-`_frame_table`, each under its normality masks, `_normals`, less the frames
-that the orbits and idle rows below show cannot hold the first hit.
+non-normal logics, and the list takes the relations of the class, each
+under its normality masks, `_normals`, less the frames that the orbits and
+idle rows below show cannot hold the first hit.  Up to `_INT_TABLES` = 3
+worlds, at most 512 relation codes, the relations, `_int_frame_table`, and
+the list are built on Python ints; above it numpy decodes the codes a block
+at a time, `_frame_table`, and cuts the list.  The form is picked by n
+alone, and each form converts the other's list once per size.
 
 `_first_hit` keeps the programs of the last `_COMPILED_MAX` = 256 formula
 tuples it searched, the least recently used dropped first.  The key is the
@@ -39,15 +43,21 @@ microsecond however few bits it reads, and most searches stop at n <= 3,
 where a slot holds a few hundred bits: there one operation on two Python
 ints takes about a tenth of that.  So:
 
-* Up to `_INT_BITS` bits, the whole size is one chunk, and a slot is one
-  Python int of n world planes of `width` = frames x valuations bits: bit
-  f * valuations + v of plane w is its truth at world w of frame f under
-  valuation v, the planes' layout in canonical order.  Conjunction,
+* Up to `_INT_BITS` = 2^18 bits, the whole size is one chunk, and a slot
+  is one Python int of n world planes of `width` = frames x valuations
+  bits: bit f * valuations + v of plane w is its truth at world w of frame
+  f under valuation v, the frames in canonical order.  Conjunction,
   disjunction and implication are one int operation each.  "Some successor
   is in" ORs n rotations of the operand's planes, rotation d bringing plane
   w + d mod n to plane w, each ANDed with the cached mask of the frames
-  where w sees w + d mod n.  The lowest set bit of the hit planes ORed over
-  the worlds is the first hit pair in canonical order.
+  where w sees w + d mod n.  The leaves are built bit-parallel, with no
+  loop over (frame, valuation) bits: `_frame_leaves` widens each frame's
+  byte to its block of valuations by strided byte copies, kept by frame
+  list and valuation count, and `_variable_planes` repeats one frame's
+  `_valuation_rows`, kept by size, variables and types, for every frame.
+  The lowest set bit of the hit planes ORed over the worlds is in the
+  first hit frame, and the least canonical code among the valuations that
+  hit there is the first hit valuation.
 * Above it, the program runs on numpy chunks of `fstep` consecutive frames
   x a range of `vstep` valuation codes: as many frames as keep every slot's
   bit planes within `_CHUNK_BYTES`, so the Python loop and one numpy call
@@ -94,17 +104,21 @@ implication alone.  Two valuations that give every world the same row of
 truth values for them agree on every slot, at every world, in every frame,
 and so on every hit.  `_representatives` evaluates those slots once per
 search on the 2^k assignments of one world and keeps the smallest
-assignment giving each row.  `_table` packs the valuations that give every
-world such a representative into the variables' bit planes, in canonical
-order (a `np.lexsort` of their n-bit groups, the first variable's primary),
-padded with copies of the last to whole words; it forms no code, so it
-holds at any k*n.  The witness is the same: the valuations with one row
-per world form a product over the worlds, and canonical order is
-variable-major, so the smallest code among them takes at each world the
-smallest assignment with its row, a representative.  So the first hit is
-a representative, met first in the table; a padded copy hits only if the
-last entry, which comes before it, does.  The table is read where a frame
-has more than 64 valuations, at most `_PAIRS`, if shorter than the scan.
+assignment giving each row.  The valuations that give every world such a
+representative form a product over the worlds.  For numpy chunks `_table`
+packs them into the variables' bit planes in canonical order (a
+`np.lexsort` of their n-bit groups, the first variable's primary), padded
+with copies of the last to whole words; the int form reads them unpadded,
+in the product's order, world 0's representative the most significant
+digit.  Neither forms a code, so both hold at any k*n.  The witness is the
+same: canonical order is variable-major, so the smallest code among the
+product takes at each world the smallest assignment with its row, a
+representative.  So the first hit is a representative: met first in the
+padded table, where a copy hits only if the last entry, which comes before
+it, does; and the least canonical code that hits in the first hit frame of
+the product.  The table is read where a frame has more than 64
+valuations, at most `_PAIRS`, if its padded count, `_table_size`, is
+below the scan's.
 
 The scan reads one relation per isomorphism class.  A permutation of the
 worlds maps a frame of a named class to a frame of the class, since every
@@ -117,9 +131,11 @@ relation code of its orbit: a smaller image would carry a hit on an earlier
 frame.  So `_frame_table` keeps of the relations that meet the class
 conditions, stated by `semantics.relation_satisfies`, only those that
 `_orbit_least`, trying one permutation at a time on the relations still in,
-finds no smaller than any of their n! images.
-It is built once per n and relational conditions, the class without
-`all_normal`, and kept for every n.  This is orderly generation (Read 1978,
+finds no smaller than any of their n! images; up to `_INT_TABLES` worlds
+`_int_frame_table` keeps those of `_least_relations`, which walks every
+code once and marks the images of each code it keeps.  A table is built
+once per n and relational conditions, the class without `all_normal`, and
+kept for every n.  This is orderly generation (Read 1978,
 "Every one a winner"; McKay 1998, "Isomorph-free exhaustive generation").
 At n = 4 it keeps 3,044 of the 65,536 relations of `s2_0`, 218 of the 4,096
 of `s2` and 33 of the 355 of `s3`.  `enumerate_frames` still yields every
@@ -143,13 +159,16 @@ that replacement, so those classes read every mask of every relation.  At
 n = 4 the scan reads 3,955 frames of `s2_0` of 45,660 relations x masks,
 377 of `s2` (3,270) and 111 of `s3` (495).
 
-`np` is a proxy that imports numpy at its first attribute read, so a process
-that never searches, such as `superstrict parse`, starts without numpy.
+`np` is a proxy that imports numpy at its first attribute read.  A process
+whose searches stay within `_INT_TABLES` worlds and `_INT_BITS` bits a
+slot, such as `superstrict suite` at default bounds or `countermodel`
+at `--max-n 3`, never imports it; the first size above either does.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -175,7 +194,8 @@ class _Numpy:
 np = _Numpy()
 _PAIRS = 1 << 15  # valuations a frame evaluated at once
 _CHUNK_BYTES = 1 << 20  # bytes of every slot's bit planes in a chunk
-_INT_BITS = 1 << 16  # bits of a slot up to which a size runs on Python ints
+_INT_BITS = 1 << 18  # bits of a slot up to which a size runs on Python ints
+_INT_TABLES = 3  # worlds up to which relation tables and frame lists are built on Python ints
 _CODES = 1 << 14  # relation codes decoded at once
 _COMPILED_MAX = 256  # formula tuples whose compiled program `_first_hit` keeps
 Program = list[tuple]  # (op, slot a, slot b); a variable's name as `a` until lowered
@@ -188,12 +208,15 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _mask(group: int, n: int) -> int:
+    """The world mask of the n-bit group `group`, whose top bit is world 0."""
+    return int(format(group, f"0{n}b")[::-1], 2)
+
+
 @lru_cache(maxsize=None)
 def _reversal(n: int) -> np.ndarray:
-    """`rev[m]`: the world mask of the n-bit group m, whose top bit is world 0."""
-    m = np.arange(1 << n)
-    rev = sum(((m >> (n - 1 - j)) & 1) << j for j in range(n))
-    return _frozen(np.asarray(rev, dtype=np.min_scalar_type((1 << n) - 1)))[0]
+    """`rev[m]`: `_mask(m, n)` for every n-bit group m."""
+    return _frozen(np.array([_mask(m, n) for m in range(1 << n)], dtype=np.min_scalar_type((1 << n) - 1)))[0]
 
 
 def _groups(codes: np.ndarray, n: int, count: int) -> list[np.ndarray]:
@@ -257,12 +280,39 @@ def _frame_table(n: int, fc: FrameClass) -> np.ndarray:
     return _frozen(np.concatenate([rows.take(_orbit_least(rows), axis=1) for rows in blocks], axis=1))[0]
 
 
-def _normals(n: int, fc: FrameClass, all_points: bool) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _least_relations(n: int) -> tuple[tuple[int, ...], ...]:
+    """The relations on n worlds, each as its n successor masks, whose code
+    is least among their images under the n! permutations of the worlds, in
+    canonical order.  Orderly over all 2^(n*n) codes, so for small n only:
+    a code no smaller code has reached is least in its orbit, and reaches
+    its images."""
+    perms = list(itertools.permutations(range(n)))
+    # moved[p][s]: the n-bit group, world 0 the top bit, of the image of successor mask s under p
+    moved = [[_mask(sum((s >> j & 1) << p[j] for j in range(n)), n) for s in range(1 << n)] for p in perms]
+    reached, least = set(), []
+    for code in range(1 << n * n):
+        if code not in reached:
+            rel = tuple(_mask(code >> n * (n - 1 - w) & (1 << n) - 1, n) for w in range(n))
+            least.append(rel)
+            reached.update(sum(m[rel[i]] << n * (n - 1 - p[i]) for i in range(n)) for p, m in zip(perms, moved))
+    return tuple(least)
+
+
+@lru_cache(maxsize=None)
+def _int_frame_table(n: int, fc: FrameClass) -> tuple[tuple[int, ...], ...]:
+    """`_frame_table` built on Python ints, for n up to `_INT_TABLES`: the
+    relations of `_least_relations`, each as its n successor masks, that
+    meet the relational conditions of `fc`, as `semantics.relation_satisfies`
+    states them on int rows, in canonical order."""
+    return tuple(rel for rel in _least_relations(n) if semantics.relation_satisfies(rel, n, fc))
+
+
+def _normals(n: int, fc: FrameClass, all_points: bool) -> tuple[int, ...]:
     """`fc`'s normality masks at n in canonical order: all worlds under
     `all_normal`, else every set, the empty one, where no world can fail,
     only with `all_points`."""
-    rev = _reversal(n)
-    return rev[-1:] if fc.all_normal else rev[0 if all_points else 1:]
+    return ((1 << n) - 1,) if fc.all_normal else tuple(_mask(g, n) for g in range(0 if all_points else 1, 1 << n))
 
 
 def _idle_least(fc: FrameClass) -> bool:
@@ -270,20 +320,38 @@ def _idle_least(fc: FrameClass) -> bool:
     return not (fc.serial or fc.symmetric or fc.euclidean)
 
 
-def _frames(n: int, fc: FrameClass, all_points: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The frames a search of `fc` reads at n, cut by the functions `_idle_least` and `_frame_table` name now."""
-    return _cut_frames(n, fc, all_points, _idle_least(fc), _frame_table)
+def _frames(n: int, fc: FrameClass, all_points: bool, ints: bool = False) -> tuple:
+    """The frames a search of `fc` reads at n, cut by the functions
+    `_idle_least` and, by n, `_int_frame_table` or `_frame_table` name now:
+    numpy arrays, or with `ints` the bytes the int form reads."""
+    table = _int_frame_table if n <= _INT_TABLES else _frame_table
+    return _cut_frames(n, fc, all_points, _idle_least(fc), table, ints)
 
 
 @lru_cache(maxsize=None)
-def _cut_frames(n: int, fc: FrameClass, all_points: bool, idle: bool,
-                table: Callable[[int, FrameClass], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The frames a search of `fc` reads at n, in canonical order, as
-    successor rows, shape (n, frames), and masks: each relation `table`
-    gives for `fc` without `all_normal` under each mask of `_normals`,
-    less, with `idle`, those with a non-normal world whose row is not the
-    least in the table, empty or the world itself under reflexivity."""
-    rows, normals = table(n, replace(fc, all_normal=False)), _normals(n, fc, all_points)
+def _cut_frames(n: int, fc: FrameClass, all_points: bool, idle: bool, table: Callable, ints: bool) -> tuple:
+    """The frames a search of `fc` reads at n, in canonical order: each
+    relation `table` gives for `fc` without `all_normal` under each mask of
+    `_normals`, less, with `idle`, those with a non-normal world whose row
+    is not the least in the table, empty or the world itself under
+    reflexivity.  They are cut in the form `table` gives, ints up to
+    `_INT_TABLES` worlds, else numpy, and converted once for the other:
+    numpy successor rows, shape (n, frames), and masks; or, with `ints`,
+    n bytes objects of rows, byte f of row w world w's successors in frame
+    f, and a bytes object of masks."""
+    if ints != (n <= _INT_TABLES):
+        rows, normals = _cut_frames(n, fc, all_points, idle, table, not ints)
+        if ints:
+            return tuple(map(bytes, rows.tolist())), bytes(normals.tolist())
+        return _frozen(np.frombuffer(b"".join(rows), np.uint8).reshape(n, -1), np.frombuffer(normals, np.uint8))
+    relations, masks = table(n, replace(fc, all_normal=False)), _normals(n, fc, all_points)
+    if ints:
+        least, frames = [min(rel[w] for rel in relations) for w in range(n)], []
+        for rel in relations:  # under each mask where every world whose row is not least is normal
+            need = sum(1 << w for w in range(n) if idle and rel[w] != least[w])
+            frames += [(rel, m) for m in masks if m & need == need]
+        return tuple(bytes(rel[w] for rel, _ in frames) for w in range(n)), bytes(m for _, m in frames)
+    rows, normals = relations, np.array(masks, relations.dtype)
     keep = np.ones((rows.shape[1], normals.size), dtype=bool)
     for w in range(n) if idle else ():
         keep &= (normals >> w & 1 == 1) | (rows[w] == rows[w].min(initial=(1 << n) - 1))[:, None]
@@ -303,19 +371,27 @@ def _pack(n: int, masks: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
     return _frozen(*planes)
 
 
-@lru_cache(maxsize=64)
-def _table(n: int, k: int, reps: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], int] | None:
-    """The `_pack` planes of the valuations on n worlds that give every
-    world one of the k-bit assignments `reps`, in canonical order, padded
-    with copies of the last to a power of two up to 64, else to whole 64-bit
-    words, and that padded count; None above `_PAIRS` of them or when that
-    count is no smaller than the 2^(k*n) valuations they replace."""
+def _table_size(n: int, k: int, reps: tuple[int, ...]) -> int | None:
+    """The count of `_table`'s valuations, padded to a power of two up to
+    64, else to whole 64-bit words; None where no table is read: above
+    `_PAIRS` valuations, or when the padded count is no smaller than the
+    2^(k*n) valuations they replace."""
     count = len(reps) ** n
     if count > _PAIRS:
         return None
     size = 1 << (count - 1).bit_length() if count <= 64 else -(-count // 64) * 64
-    if size >= 1 << k * n:
+    return size if size < 1 << k * n else None
+
+
+@lru_cache(maxsize=64)
+def _table(n: int, k: int, reps: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], int] | None:
+    """The `_pack` planes of the valuations on n worlds that give every
+    world one of the k-bit assignments `reps`, in canonical order, padded
+    with copies of the last to `_table_size`, and that padded count, or
+    None where `_table_size` is."""
+    if (size := _table_size(n, k, reps)) is None:
         return None
+    count = len(reps) ** n
     rev = _reversal(n)
     bits = np.array([[a >> k - 1 - i & 1 for a in reps] for i in range(k)], dtype=rev.dtype)
     masks = np.zeros((k, 1), dtype=rev.dtype)
@@ -332,37 +408,99 @@ def _planes(n: int, k: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
     return _pack(n, _groups(np.arange(lo, hi, dtype=np.uint64), n, k))
 
 
+@lru_cache(maxsize=None)
+def _bit_table(bit: int, shift: int) -> bytes:
+    """The `bytes.translate` table taking a mask to its bit `bit`, moved to bit `shift`."""
+    return bytes((m >> bit & 1) << shift for m in range(256))
+
+
+def _spread(masks: bytes, bit: int, size: int) -> int:
+    """The int whose bits f * size .. (f + 1) * size - 1 are set where
+    `masks[f]` has bit `bit`: one frame a byte, widened to its block of a
+    plane.  Each frame's lowest bit is placed first, without a loop over
+    frames: it lands at bit f * size & 7 of byte f * size >> 3, the same bit
+    again `period` frames and `step` bytes on, so one strided copy a residue
+    of f places them all, into one buffer unless a block is narrower than a
+    byte.  Then (x << size) - x fills each block."""
+    g = math.gcd(size, 8)
+    period, step, length = 8 // g, size // g, (len(masks) * size + 7) // 8
+    x, buf = 0, bytearray(length)
+    for c in range(min(period, len(masks))):
+        src, start = masks[c::period], c * size >> 3
+        buf[start:start + len(src) * step:step] = src.translate(_bit_table(bit, c * size & 7))
+        if size < 8:  # several frames share a byte: each residue in a buffer of its own
+            x, buf = x | int.from_bytes(buf, "little"), bytearray(length)
+    x |= int.from_bytes(buf, "little")
+    return (x << size) - x
+
+
+def _repeat(x: int, size: int, times: int) -> int:
+    """`times` copies of the `size`-bit int x, copy t at bit t * size, by doubling."""
+    out, block, copies, at = 0, x, 1, 0
+    while True:
+        if times & 1:
+            out |= block << at * size
+            at += copies
+        times >>= 1
+        if not times:
+            return out
+        block |= block << copies * size
+        copies *= 2
+
+
 @lru_cache(maxsize=64)
-def _int_leaves(n: int, relations: bytes, masks: bytes, k: int,
-                reps: tuple[int, ...] | None) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    """The plane width and the leaves of a size that runs on ints, each n
-    world planes of `width` = frames x valuations bits, bit f * valuations
-    + v of plane w its value at world w of frame f under valuation v: the
-    normal points; the edge masks of `ex`, plane w of mask d set where w
-    sees w + d mod n; and the variables' planes over the `_planes` codes
-    or, given `reps`, the `_table` valuations.  The frames come as the
-    bytes of their rows and masks.  At most 64 are kept, each 1 + n + k
-    ints of at most `_INT_BITS` bits."""
-    rows = np.frombuffer(relations, _reversal(n).dtype).reshape(n, -1)
-    normals = np.frombuffer(masks, _reversal(n).dtype)
-    planes, nvals = (_planes(n, k, 0, 1 << k * n), 1 << k * n) if reps is None else _table(n, k, reps)
-    shape = (n, normals.size, nvals)
-    worlds = np.arange(n)[:, None]
+def _frame_leaves(n: int, rows: tuple[bytes, ...], normals: bytes, nvals: int) -> tuple[int, int, tuple[int, ...]]:
+    """The plane width, frames x `nvals`, and the frame-side leaves of the
+    int form on the frames `rows` and `normals` of `_frames`, each n world
+    planes of that width, bit f * nvals + v of plane w its value at world w
+    of frame f under valuation v: the normal points, and the edge masks of
+    `ex`, plane w of mask d set where w sees w + d mod n.  They depend on
+    the valuations only through their count, so every formula searched over
+    a class, size and `all_points` shares them; the frame lists are kept,
+    so the bytes hash once.  At most 64 are kept, each 1 + n ints of at
+    most `_INT_BITS` bits."""
+    width = len(normals) * nvals
+    norm = sum(_spread(normals, w, nvals) << w * width for w in range(n))
+    edges = tuple(sum(_spread(rows[w], (w + d) % n, nvals) << w * width for w in range(n)) for d in range(n))
+    return width, norm, edges
 
-    def bits(a: np.ndarray) -> int:  # `a`, broadcast to `shape`, as one int: the last axis the lowest bits
-        return int.from_bytes(np.packbits(np.broadcast_to(a, shape), axis=None, bitorder="little").tobytes(), "little")
 
-    norm = bits((normals >> worlds & 1)[:, :, None])
-    edges = tuple(bits((rows >> (worlds + d) % n & 1)[:, :, None]) for d in range(n))
-    variables = tuple(bits(np.unpackbits(p.view(np.uint8), axis=-1, bitorder="little")[:, :, :nvals]) for p in planes)
-    return normals.size * nvals, norm, edges, variables
+@lru_cache(maxsize=64)
+def _valuation_rows(n: int, k: int, reps: tuple[int, ...] | None) -> tuple[tuple[int, ...], ...]:
+    """The variables' planes of one frame in the int form: `rows[i][w]`
+    has bit v set where variable i holds at world w under valuation v.
+    Without `reps` v is the canonical code, so a row alternates runs of 0s
+    and 1s as long as its bit's place value, as `_representatives` lays out
+    its variables on one world.  With them the valuations are every n-tuple
+    of assignments `reps`, given to worlds 0 .. n-1, v their index in base
+    len(reps) with world 0's the most significant digit: not canonical
+    order where k > 1 and n > 1, as canonical order compares a variable at
+    every world before the next variable; `_int_hit` restores it."""
+    if reps is None:
+        bits = [k * n - 1 - (i * n + w) for i in range(k) for w in range(n)]  # the code's bit of variable i at w
+        flat = [_repeat(_spread(b"\0\1", 0, 1 << b), 2 << b, 1 << k * n - 1 - b) for b in bits]
+        return tuple(tuple(flat[i * n:i * n + n]) for i in range(k))
+    r = len(reps)
+    holds = [bytes(a >> k - 1 - i & 1 for a in reps) for i in range(k)]  # byte d: variable i under reps[d]
+    return tuple(tuple(_repeat(_spread(h, 0, r ** (n - 1 - w)), r ** (n - w), r ** w) for w in range(n)) for h in holds)
+
+
+@lru_cache(maxsize=64)
+def _variable_planes(n: int, k: int, reps: tuple[int, ...] | None, frames: int) -> tuple[int, ...]:
+    """The variables' leaves of the int form on `frames` frames: the
+    `_valuation_rows` of one frame repeated for every frame, each n world
+    planes.  A miss costs k * n repeats, not a frame-side leaf."""
+    rows = _valuation_rows(n, k, reps)
+    nvals = 1 << k * n if reps is None else len(reps) ** n
+    width = frames * nvals
+    return tuple(sum(_repeat(x, nvals, frames) << w * width for w, x in enumerate(var)) for var in rows)
 
 
 def enumerate_frames(n: int, fc: FrameClass) -> Iterator[Frame]:
     """Every frame on exactly n worlds satisfying `fc`, canonical order."""
     if n < 1:
         raise ValueError("frame size must be at least 1")
-    masks = _normals(n, fc, True).tolist()
+    masks = _normals(n, fc, True)
     for lo in range(0, 1 << n * n, _CODES):  # decoded as yielded, so the first frame comes at once
         for rel in map(tuple, _frame_block(n, fc, lo).T.tolist()):
             for nm in masks:
@@ -509,12 +647,17 @@ def _geometry(slots: int, n: int, nvals: int) -> tuple[int, int, int, np.dtype]:
     return vstep, fstep, used, word
 
 
-def _int_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: int, rows: np.ndarray,
-             normals: np.ndarray, reps: tuple[int, ...] | None) -> tuple | None:
+def _int_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: int, rows: tuple[bytes, ...],
+             normals: bytes, reps: tuple[int, ...] | None, nvals: int) -> tuple | None:
     """The first hit among the frames `rows` and `normals` of size n as
-    (relation, mask, variables' world masks), or None, evaluated on the
-    ints of `_int_leaves`: the whole size at once, one int a slot."""
-    width, norm, edges, variables = _int_leaves(n, rows.tobytes(), normals.tobytes(), k, reps)
+    (relation, mask, variables' world masks), or None, evaluated on Python
+    ints: the whole size at once, one int a slot, its leaves those of
+    `_frame_leaves` and `_variable_planes` for the `nvals` valuations of
+    `reps`.  The first hit frame holds the lowest set bit; its valuation is
+    the least canonical code of those that hit there, as the type table's
+    layout is not canonical order."""
+    width, norm, edges = _frame_leaves(n, rows, normals, nvals)
+    variables = _variable_planes(n, k, reps, len(normals))
     size = n * width
 
     def ex(x: int) -> int:  # rotated by d planes, plane w holds plane w + d mod n, kept where w sees it
@@ -523,22 +666,30 @@ def _int_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: i
             out |= (x >> d * width | x << size - d * width) & edges[d]
         return out
 
-    def some(x: int) -> int:  # the n planes ORed, copied to every plane
-        one = x
+    def one(x: int) -> int:  # the n planes ORed, in plane 0
+        out = x
         for w in range(1, n):
-            one |= x >> w * width
-        one &= (1 << width) - 1
-        return one | sum(one << w * width for w in range(1, n))
+            out |= x >> w * width
+        return out & (1 << width) - 1
+
+    def some(x: int) -> int:  # the n planes ORed, copied to every plane
+        out = one(x)
+        return out | sum(out << w * width for w in range(1, n))
 
     full = (1 << size) - 1
     vals = _run(program, (0, norm, *variables), ex, full)
     mask = hit(norm, full, some, *(vals[r] for r in roots))
     if not mask:
         return None
-    pairs = some(mask)  # the hit planes ORed over the worlds
-    b = (pairs & -pairs).bit_length() - 1  # the first (frame, valuation) pair in canonical order
-    f = b // (width // normals.size)
-    return rows[:, f], normals[f], [sum((p >> w * width + b & 1) << w for w in range(n)) for p in variables]
+    pairs = one(mask)
+    f = ((pairs & -pairs).bit_length() - 1) // nvals  # the first frame with a hit, in canonical order
+    hits = pairs >> f * nvals & (1 << nvals) - 1
+    valuations = _valuation_rows(n, k, reps)
+    for var in valuations:  # the code's bits from the top, each kept 0 where a valuation that hits has it 0
+        for x in var:
+            hits = hits & ~x or hits
+    v = hits.bit_length() - 1
+    return [row[f] for row in rows], normals[f], [sum((x >> v & 1) << w for w, x in enumerate(var)) for var in valuations]
 
 
 def _array_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: int, rows: np.ndarray,
@@ -593,11 +744,12 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     x valuations: up to `_INT_BITS` the whole size is one chunk of Python
     ints, `_int_hit`, else numpy chunks, `_array_hit`, on the frames of
     `_frames`, read once per n (see the module docstring).
-    The valuations are the codes 0..2^(k*n)-1, packed by `_planes` a range
-    at a time, or the shorter `_table` of the formulas' propositional types,
-    computed at the first n with more than 64 valuations a frame.  The
-    witness valuation is read from the planes at the hit's bit, its world
-    from re-verification.  A size past k*n = 64 must read the table, as the
+    The valuations are the codes 0..2^(k*n)-1, or the shorter table of the
+    formulas' propositional types, computed at the first n with more than
+    64 valuations a frame: all at once and unpadded on ints,
+    `_valuation_rows`, and on numpy packed by `_planes` a range at a time,
+    or by `_table`.  The witness valuation is read from the planes at the
+    hit, its world from re-verification.  A size past k*n = 64 must read the table, as the
     plain scan's codes stop there; the table grows with n, so where there
     is none at `max_n` the search is refused with `ValueError` at once."""
     if max_n < 1:
@@ -606,7 +758,8 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     if desugared and formulas[1] is formulas[0]:  # one formula, already in the core language
         return None
     k = len(names)
-    if k * max_n > 64 and ((types := _representatives(program, roots, k)) is None or _table(max_n, k, types) is None):
+    if k * max_n > 64 and ((types := _representatives(program, roots, k)) is None
+                           or _table_size(max_n, k, types) is None):
         raise ValueError(f"{k} variables on {max_n} worlds: a scan of every valuation is limited to "
                          "variables x worlds <= 64")
     reps = None
@@ -615,13 +768,17 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
         # types from n = 1 timed within noise on `run_suite()`
         if k * (n - 1) <= 6 < k * n:
             reps = _representatives(program, roots, k)
-        table = None if reps is None else _table(n, k, reps)
-        nvals = 1 << (k * n) if table is None else table[1]
-        rows, normals = _frames(n, fc, all_points)
-        if n * normals.size * nvals <= _INT_BITS:
-            found = _int_hit(program, roots, hit, n, k, rows, normals, None if table is None else reps)
+        types = None if reps is None or _table_size(n, k, reps) is None else reps
+        nvals = 1 << (k * n) if types is None else len(types) ** n  # unpadded on ints
+        native = n <= _INT_TABLES  # the form the size's table is built in
+        frames = _frames(n, fc, all_points, native)
+        if (ints := n * len(frames[1]) * nvals <= _INT_BITS) != native:
+            frames = _frames(n, fc, all_points, ints)
+        if ints:
+            found = _int_hit(program, roots, hit, n, k, *frames, types, nvals)
         else:
-            found = _array_hit(program, roots, hit, n, k, rows, normals, table, nvals)
+            table = None if types is None else _table(n, k, types)
+            found = _array_hit(program, roots, hit, n, k, *frames, table, nvals if table is None else table[1])
         if found is not None:
             rel, nm, valuation = found
             frame = Frame(n, tuple(int(r) for r in rel), int(nm))

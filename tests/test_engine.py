@@ -26,6 +26,7 @@ from superstrict.catalog import CATALOG, CATALOG_BY_NAME, run_suite
 from superstrict.search import (
     _CODES,
     _INT_BITS,
+    _INT_TABLES,
     _PAIRS,
     _compile,
     _first_hit,
@@ -34,6 +35,7 @@ from superstrict.search import (
     _frames,
     _geometry,
     _idle_least,
+    _int_frame_table,
     _normals,
     _orbit_least,
     _planes,
@@ -126,13 +128,19 @@ def full_table(n, fc):
     return np.concatenate([_frame_block(n, fc, lo) for lo in range(0, 1 << n * n, _CODES)], axis=1)
 
 
+@cache
+def full_int_table(n, fc):
+    """`full_table` as the int tables hold it, one tuple of successor masks a relation."""
+    return tuple(map(tuple, full_table(n, fc).T.tolist()))
+
+
 # The engine's reductions, each switched off by the `search` attributes it
-# reads: no type table, the full relation table, every frame whatever the
-# rows of its non-normal worlds, one frame a chunk, and numpy chunks at
-# every size.
+# reads: no type table, the full relation table on ints and on numpy, every
+# frame whatever the rows of its non-normal worlds, one frame a chunk, and
+# numpy chunks at every size.
 SWITCHES = {
     "types": {"_representatives": lambda *args: None},
-    "orbits": {"_frame_table": full_table},
+    "orbits": {"_frame_table": full_table, "_int_frame_table": full_int_table},
     "idle": {"_idle_least": lambda fc: False},
     "chunks": {"_CHUNK_BYTES": 1},
     "ints": {"_INT_BITS": 0},
@@ -378,14 +386,17 @@ def test_witness_beyond_the_first_chunk():
     # 3 variables at n = 3: 512 valuations, 8 uint64 words a frame and world,
     # so at 1/32 of the default budget a chunk holds 8 frames; the witness is
     # frame 23 of the 153 the search reads (later on the plain scan), past
-    # the first two chunks.
+    # the first two chunks.  The size fits the int budget, so numpy chunks are forced.
     with pytest.MonkeyPatch.context() as mp:
+        switch_off(mp, "ints")
+        calls = forms_of_run(mp)
         mp.setattr(search, "_CHUNK_BYTES", 1 << 15)
         fstep = chunk_geometry([THREE_SUCCESSORS], 3)
         assert fstep == 8
         key = countermodel_key(THREE_SUCCESSORS, S2_0, 3)
         assert key == THREE_SUCCESSORS_WITNESS
         assert probe_key(rule_probe_witness([parse("dia s -> s")], THREE_SUCCESSORS, S2_0, 3)) == key
+    assert (3, "array") in calls
     n, world, mj = key
     assert not eval_json(mj, world, THREE_SUCCESSORS)
     rows, normals = _frames(n, S2_0, False)
@@ -656,40 +667,45 @@ test_random_formulas_reduced_match_plain = random_test("all")
 def test_frame_table_does_not_repeat_relations():
     rows, normals = full_table(4, S2_0), _normals(4, S2_0, False)  # every relation of the class
     assert rows.shape[1] == 1 << 16
-    assert sorted(normals.tolist()) == list(range(1, 16))  # every nonempty set
+    assert sorted(normals) == list(range(1, 16))  # every nonempty set
     # 4,915,200 bytes when each relation was repeated once per mask
-    assert rows.nbytes + normals.nbytes < 300_000
+    assert rows.nbytes < 300_000
     assert _frame_table(4, S2_0).shape[1] == 3044  # the search's table
 
 
 def test_frame_table_is_built_once_per_size_and_class():
     # the relations depend on the class without `all_normal`, so classes that differ only
-    # in their normal worlds share them, and every search over either reads the same table
+    # in their normal worlds share them, and every search over either reads the same table:
+    # built on ints up to three worlds, where no block of codes is decoded, and by numpy at four
     fc = FrameClass(serial=True, euclidean=True)
     pairs = [(fc, replace(fc, all_normal=True)), (S2, NAMED_CLASSES["kt"]), (S3, NAMED_CLASSES["s4"])]
-    decoded = []
-    block = search._frame_block
+    decoded, built = [], []
+    block, table = search._frame_block, search._int_frame_table.__wrapped__
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_frame_block", lambda *args: decoded.append(args) or block(*args))
         mp.setattr(search, "_frame_table", lru_cache(maxsize=None)(search._frame_table.__wrapped__))  # empty
+        mp.setattr(search, "_int_frame_table", lru_cache(maxsize=None)(lambda *args: built.append(args) or table(*args)))
         for relational, normal in pairs:
             decoded.clear()
-            assert find_countermodel(parse("p -> p"), relational, 3) is None
-            assert decoded == [(n, relational, 0) for n in (1, 2, 3)]  # one block of codes a size
-            assert rule_probe_witness([parse("p")], parse("p"), relational, 3) is None
-            assert find_countermodel(parse("p -> p"), normal, 3) is None
-            assert rule_probe_witness([parse("p")], parse("p"), normal, 3) is None
-            assert definability_probe(parse("p ||> q"), normal, 3) is None
-            assert definability_probe(parse("p ||> q"), relational, 3) is None
-            assert len(decoded) == 3  # no later search decodes a block
-        assert search._frame_table.cache_info().currsize == 9  # three sizes of three relational conditions
+            built.clear()
+            assert find_countermodel(parse("p -> p"), relational, 4) is None
+            assert built == [(n, relational) for n in (1, 2, 3)]
+            assert decoded == [(4, relational, lo) for lo in range(0, 1 << 16, _CODES)]  # the blocks of n = 4
+            assert rule_probe_witness([parse("p")], parse("p"), relational, 4) is None
+            assert find_countermodel(parse("p -> p"), normal, 4) is None
+            assert rule_probe_witness([parse("p")], parse("p"), normal, 4) is None
+            assert definability_probe(parse("p ||> q"), normal, 4) is None
+            assert definability_probe(parse("p ||> q"), relational, 4) is None
+            assert len(built) == 3 and len(decoded) == 4  # no later search builds or decodes a table
+        assert search._int_frame_table.cache_info().currsize == 9  # three sizes of three relational conditions
+        assert search._frame_table.cache_info().currsize == 3
 
 
 def test_cached_arrays_are_read_only():
     # every later search reads them: a write into one would change its masks or decodes
     table = _table(4, 3, reps_of(CATALOG_BY_NAME["ssi_transitivity"].formula))
-    arrays = [_reversal(3), *(_normals(3, fc, all_points) for fc in (S2_0, NAMED_CLASSES["kt"]) for all_points in (False, True)),
-              *_relabellings(3), _frame_table(3, S2_0), *_frames(3, S2_0, False), *table[0], *_planes(3, 2, 0, 64)]
+    arrays = [_reversal(3), *_relabellings(3), _frame_table(3, S2_0), *_frames(3, S2_0, False), *_frames(4, S2_0, False),
+              *table[0], *_planes(3, 2, 0, 64)]
     assert not any(a.flags.writeable for a in arrays)
 
 
@@ -742,11 +758,12 @@ def test_search_reads_one_relation_per_isomorphism_class(class_name):
     kept = KEPT[class_name]
     relational = replace(fc, all_normal=False)  # the search's key
     assert tuple(_frame_table(n, relational).shape[1] for n in range(1, len(kept) + 1)) == kept
+    assert tuple(len(_int_frame_table(n, relational)) for n in range(1, _INT_TABLES + 1)) == kept[:_INT_TABLES]
     for n, count in enumerate(FRAMES[class_name], 1):
         if count <= 1 << 16:
             assert sum(1 for _ in enumerate_frames(n, fc)) == count
         else:  # the 2^20 frames of s2_0 at n = 4 take seconds to yield: count the table they come from
-            assert full_table(n, relational).shape[1] * _normals(n, fc, True).size == count
+            assert full_table(n, relational).shape[1] * len(_normals(n, fc, True)) == count
 
 
 # Of the orbit-least relations under every mask, the search reads only the
@@ -790,7 +807,7 @@ def test_idle_rows_are_kept_where_seriality_symmetry_or_euclideanness_may_fail(f
         for all_points in (False, True):
             table, masks = _frame_table(n, replace(fc, all_normal=False)), _normals(n, fc, all_points)
             rows, normals = _frames(n, fc, all_points)
-            assert np.array_equal(rows, np.repeat(table, masks.size, axis=1))
+            assert np.array_equal(rows, np.repeat(table, len(masks), axis=1))
             assert np.array_equal(normals, np.tile(masks, table.shape[1]))
 
 
@@ -813,7 +830,7 @@ def test_frame_list_takes_no_index_arrays():
     _frame_table(4, fc)
     tracemalloc.start()
     try:
-        rows, normals = search._cut_frames.__wrapped__(4, fc, False, _idle_least(fc), _frame_table)
+        rows, normals = search._cut_frames.__wrapped__(4, fc, False, _idle_least(fc), _frame_table, False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -839,25 +856,66 @@ def test_each_frame_switch_reaches_a_warm_scan():
     assert read_at_four() == 377
 
 
+def relation_code(rel):
+    """The canonical code of a relation given as successor masks, world 0's successor group the top bits."""
+    n = len(rel)
+    return sum((rel[i] >> j & 1) << (n * n - 1 - i * n - j) for i in range(n) for j in range(n))
+
+
+def relation_image(rel, perm):
+    """The image of a relation under a permutation of the worlds: i sees j iff perm[i] sees perm[j] in it."""
+    out = [0] * len(rel)
+    for i, j in itertools.product(range(len(rel)), repeat=2):
+        out[perm[i]] |= (rel[i] >> j & 1) << perm[j]
+    return tuple(out)
+
+
+def orbit_least(rel):
+    """Whether no permutation of the worlds maps the relation to a smaller code."""
+    return all(relation_code(relation_image(rel, perm)) >= relation_code(rel)
+               for perm in itertools.permutations(range(len(rel))))
+
+
 def test_orbit_least_against_every_permutation():
     # s2_0 to n = 3, one block of codes, and s2 and s3 at n = 4, four blocks
     for n, fc in ((1, S2_0), (2, S2_0), (3, S2_0), (4, S2), (4, S3)):
         rows = full_table(n, fc)
-        rels = [tuple(r) for r in rows.T.tolist()]
-
-        def code(rel):  # the canonical relation code, world 0's successor group the top bits
-            return sum((rel[i] >> j & 1) << (n * n - 1 - i * n - j) for i in range(n) for j in range(n))
-
-        def image(rel, perm):  # i sees j iff perm[i] sees perm[j] in the image
-            out = [0] * n
-            for i, j in itertools.product(range(n), repeat=2):
-                out[perm[i]] |= (rel[i] >> j & 1) << perm[j]
-            return tuple(out)
-
-        least = [i for i, rel in enumerate(rels)
-                 if all(code(image(rel, perm)) >= code(rel) for perm in itertools.permutations(range(n)))]
+        least = [i for i, rel in enumerate(full_int_table(n, fc)) if orbit_least(rel)]
         assert _orbit_least(rows).tolist() == least
         assert np.array_equal(_frame_table(n, fc), rows[:, least])  # tested a block at a time
+
+
+# Up to `_INT_TABLES` worlds the relation tables and frame lists are built on
+# Python ints, and above it by numpy, the form picked by n alone.  The two
+# builders must agree wherever both run, and with the oracle's frames.
+@pytest.mark.parametrize("conditions", CONDITION_SETS, ids=condition_id)
+def test_int_tables_and_frame_lists_match_numpy_and_the_oracle(conditions, monkeypatch):
+    for n in range(1, _INT_TABLES + 1):
+        relational = FrameClass(**conditions)
+        table = _int_frame_table(n, relational)
+        assert table == tuple(map(tuple, _frame_table(n, relational).T.tolist()))  # numpy's block decode
+        relations = {tuple(sum(1 << j for i2, j in edges if i2 == i) for i in range(n))
+                     for edges, _ in naive_frames(n, all_normal=True, **conditions)}
+        assert list(table) == sorted((rel for rel in relations if orbit_least(rel)), key=relation_code)
+        least = [min(rel[w] for rel in relations) for w in range(n)]  # empty, or the world itself
+        for all_normal, all_points in itertools.product((False, True), repeat=2):
+            fc = replace(relational, all_normal=all_normal)
+            args = (n, fc, all_points, _idle_least(fc))
+            rows, normals = search._cut_frames.__wrapped__(*args, _int_frame_table, True)
+            frames = [(tuple(row[f] for row in rows), normals[f]) for f in range(len(normals))]
+            # the oracle's frames, canonical order, of orbit-least relations, least idle rows where cut
+            naive = []
+            for edges, normal in naive_frames(n, all_normal=all_normal, **conditions):
+                rel, nm = tuple(sum(1 << j for i, j in edges if i == w) for w in range(n)), sum(1 << w for w in normal)
+                idle_least = all(nm >> w & 1 or rel[w] == least[w] for w in range(n))
+                if (all_points or nm) and orbit_least(rel) and (idle_least or not args[3]):
+                    naive.append((rel, nm))
+            assert frames == naive
+            with monkeypatch.context() as mp:
+                mp.setattr(search, "_INT_TABLES", 0)  # numpy's cut of numpy's table
+                arrays = search._cut_frames.__wrapped__(*args, _frame_table, False)
+            assert (tuple(map(bytes, arrays[0].tolist())), bytes(arrays[1].tolist())) == (rows, normals)
+            assert all(np.array_equal(a, b) for a, b in zip(_frames(n, fc, all_points), arrays))
 
 
 def test_witnesses_at_four_worlds_do_not_depend_on_the_orbit_reduction():
@@ -945,22 +1003,23 @@ def test_ints_at_every_size_agree_with_oracle(class_name, f, other):
     assert {form for _, form in calls} == {"int"}
 
 
-# 15 variables, each only under `dia`, so no two valuations share a type:
-# at n = 1 over s2_0 a slot is 2 frames (1 mask) x 2^15 valuations, 2^16
-# bits, the budget exactly.  The formula fails only where world 0 sees
-# itself, the last relation, with every variable true, the last valuation.
-AT_BUDGET = parse(" & ".join(f"dia x{i:02}" for i in range(15)) + " -> bot")
-AT_BUDGET_WITNESS = (1, 0, {"worlds": 1, "rel": [[0]], "normals": [0], "val": {f"x{i:02}": [0] for i in range(15)}})
+# 17 variables, each only under `dia`, so no two valuations share a type
+# (2^17 assignments of a world are more than `_PAIRS` in any case): at n = 1
+# over s2_0 a slot is 2 frames (1 mask) x 2^17 valuations, 2^18 bits, the
+# budget exactly.  The formula fails only where world 0 sees itself, the
+# last relation, with every variable true, the last valuation.
+AT_BUDGET = parse(" & ".join(f"dia x{i:02}" for i in range(17)) + " -> bot")
+AT_BUDGET_WITNESS = (1, 0, {"worlds": 1, "rel": [[0]], "normals": [0], "val": {f"x{i:02}": [0] for i in range(17)}})
 
 
 def test_slot_at_the_int_budget_and_one_bit_above():
-    assert reps_of(AT_BUDGET) is None and _INT_BITS == 1 << 16
+    assert reps_of(AT_BUDGET) is None and _INT_BITS == 1 << 18
     with pytest.MonkeyPatch.context() as mp:
         calls = forms_of_run(mp)
         assert countermodel_key(AT_BUDGET, S2_0, 1) == AT_BUDGET_WITNESS
         assert calls == [(1, "int")]
         calls.clear()
-        mp.setattr(search, "_INT_BITS", (1 << 16) - 1)  # the slot is now one bit above the budget
+        mp.setattr(search, "_INT_BITS", (1 << 18) - 1)  # the slot is now one bit above the budget
         assert countermodel_key(AT_BUDGET, S2_0, 1) == AT_BUDGET_WITNESS
         assert calls == [(1, "array")]
     assert not eval_json(AT_BUDGET_WITNESS[2], 0, AT_BUDGET)
@@ -968,7 +1027,7 @@ def test_slot_at_the_int_budget_and_one_bit_above():
 
 def test_int_witnesses_at_the_ends_of_the_planes(monkeypatch):
     calls = forms_of_run(monkeypatch)
-    # the last bit of the slot: frame 1 of 2, valuation 2^15 - 1 of 2^15, world 0
+    # the last bit of the slot: frame 1 of 2, valuation 2^17 - 1 of 2^17, world 0
     assert countermodel_key(AT_BUDGET, S2_0, 1) == AT_BUDGET_WITNESS
     # the last frame of 15: the last relation of 10, the full one, under the last of its 3 masks, both
     # worlds normal, and world 1: a p-world and a non-p world that see each other and themselves, with
@@ -984,11 +1043,27 @@ def test_int_witnesses_at_the_ends_of_the_planes(monkeypatch):
     with pytest.MonkeyPatch.context() as mp:  # numpy finds the same
         switch_off(mp, "ints")
         assert countermodel_key(f, S2_0, 2) == key
-    # world 2, the top plane of three, at 3 x 153 frames x 512 bits a slot: numpy unless forced onto ints
+    # world 2, the top plane of three, at 3 x 153 frames x 512 bits a slot, within the budget
     calls.clear()
-    monkeypatch.setattr(search, "_INT_BITS", 1 << 40)
+    assert 3 * 153 * 512 <= _INT_BITS
     assert countermodel_key(THREE_SUCCESSORS, S2_0, 3) == THREE_SUCCESSORS_WITNESS
     assert calls == [(1, "int"), (2, "int"), (3, "int")]
+
+
+def test_a_new_formula_with_the_same_types_builds_no_frame_leaves():
+    # the frame-side leaves are kept by frame list and valuation count, the variables' planes
+    # by size, variables and types: a formula parsed again shares both
+    text = "(p |> q) & (q |> r) -> (p |> r)"
+    assert find_countermodel(parse(text), S2, 3) is None
+    leaves, planes = search._frame_leaves.cache_info(), search._variable_planes.cache_info()
+    assert find_countermodel(parse(text), S2, 3) is None
+    assert search._frame_leaves.cache_info().misses == leaves.misses
+    assert search._frame_leaves.cache_info().hits == leaves.hits + 3  # one a size
+    assert search._variable_planes.cache_info().misses == planes.misses
+    # new types over the same frames and valuation count: new variables' planes, the same frame leaves
+    assert find_countermodel(parse("(p |> r) & (r |> q) -> (p |> q)"), S2, 3) is None
+    assert search._frame_leaves.cache_info().misses == leaves.misses
+    assert search._variable_planes.cache_info().misses == planes.misses + 1  # the types of n = 3, 7^3 valuations
 
 
 @pytest.mark.parametrize("case", [

@@ -1,6 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 private name a module defines is read somewhere in the package, and numpy
-is imported at the first search, not with the package."""
+is imported at the first search that needs it, past three worlds or past
+the int form's budget, not with the package or a search that never leaves
+Python ints."""
 
 import ast
 import json
@@ -78,7 +80,7 @@ def test_frame_conditions_are_read_in_one_place():
     assert readers == CONDITION_READERS
 
 
-# Commands that never search, then one search; one JSON line on stdout.
+# Commands that never search, then a search to n = 3 on ints and one to n = 4; one JSON line on stdout.
 LAZY_NUMPY = """
 import contextlib, io, json, sys
 import superstrict
@@ -95,6 +97,8 @@ for argv in (["parse", "--formula", formula], ["parse", "--json", "--formula", f
     loaded[" ".join(argv[:2])] = code, "numpy" in sys.modules
 report = superstrict.find_countermodel(superstrict.parse(formula), superstrict.NAMED_CLASSES[fc], 3)
 loaded["search"] = "numpy" in sys.modules
+superstrict.find_countermodel(superstrict.parse("p -> p"), superstrict.NAMED_CLASSES["s2_0"], 4)
+loaded["search at n = 4"] = "numpy" in sys.modules
 print(json.dumps({"loaded": loaded, "report": [report.frame_size, report.world, superstrict.model_to_json(report.model)]}))
 """
 
@@ -110,9 +114,45 @@ def test_numpy_loads_at_the_first_search(tmp_path):
     assert out["loaded"] == {"import superstrict": False, "import superstrict.cli": False,
                              "parse --formula": [0, False], "parse --json": [0, False],
                              "translate --to": [0, False], "eval --formula": [0, False],
-                             "prove --system": [0, False], "--help": [0, False], "search": True}
+                             "prove --system": [0, False], "--help": [0, False], "search": False,
+                             "search at n = 4": True}
     report = find_countermodel(parse(formula), NAMED_CLASSES[fc], 3)
     assert out["report"] == [report.frame_size, report.world, model_to_json(report.model)]
+
+
+# Command-line calls whose searches stop at n <= 3 within the int budget,
+# with whether numpy was loaded after each; one JSON line on stdout.
+INT_CALLS = """
+import contextlib, io, json, sys
+import superstrict.cli as cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    out.append([code, "numpy" in sys.modules])
+print(json.dumps(out))
+"""
+# (formula, exit status of `countermodel` over s2, s3 and kt), each also run through `valid`
+INT_SEARCHES = [
+    ("(p |> q) & (q |> r) -> (p |> r)", (1, 1, 1)),  # transitivity of |>: no countermodel to n = 3
+    ("box p -> p", (1, 1, 1)),  # axiom T: every class here is reflexive
+    ("box p -> box box p", (0, 0, 0)),  # axiom 4: s2 and s3 have non-normal worlds, kt is not transitive
+    ("dia (p & q & r) -> box (p | q | r)", (0, 0, 0)),
+]
+
+
+def test_the_default_suite_and_small_searches_never_load_numpy(tmp_path):
+    calls = [["suite"], ["suite", "--max-n", "2", "--json", str(tmp_path / "suite.json")]]
+    expected = [0, 0]
+    for formula, codes in INT_SEARCHES:
+        for fc, code in zip(("s2", "s3", "kt"), codes):
+            calls += [["countermodel", "--formula", formula, "--class", fc, "--max-n", "3"],
+                      ["valid", "--formula", formula, "--class", fc, "--max-n", "3"]]
+            expected += [code, 1 - code]
+    run = subprocess.run([sys.executable, "-c", INT_CALLS, json.dumps(calls)], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                         cwd=tmp_path, capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout) == [[code, False] for code in expected]
+    assert (tmp_path / "suite.json").read_text(encoding="utf-8") == (ROOT / "tests" / "golden" / "suite_max2.json").read_text(encoding="utf-8")
 
 
 # The modules loaded by `import superstrict`, then by reading one name; one JSON line.

@@ -240,7 +240,8 @@ class TestWitnessReverification:
     def test_frame_outside_the_class(self, monkeypatch):
         # the scan reads the S2_0 relations whatever class it was asked for: S2's
         # first witnesses are then irreflexive (k's relations are S2_0's anyway)
-        table = search._frame_table
+        int_table, table = search._int_frame_table, search._frame_table  # built on ints to n = 3, by numpy above
+        monkeypatch.setattr(search, "_int_frame_table", lambda n, fc: int_table(n, S2_0))
         monkeypatch.setattr(search, "_frame_table", lambda n, fc: table(n, S2_0))
         with pytest.raises(RuntimeError, match="re-verification"):
             find_countermodel(parse("(p |> q) & p -> q"), S2, 2)
