@@ -77,7 +77,7 @@ ints takes about a tenth of that.  So:
   successor is in" ORs the successor words, masked by the operand, over
   the successor axis.  The first nonzero word of the hit planes ORed over
   the worlds, (frame f, word t) in row-major order, and its lowest set bit
-  j give the first hit frame and, from the variables' planes, valuation.
+  j give the first hit frame and, in the plain scan, valuation.
 
 A search is a hit predicate on the program's results, `hit(normals, full,
 some, *results)`, built from `&`, `|` and `^`, the all-ones value `full` and
@@ -105,20 +105,22 @@ truth values for them agree on every slot, at every world, in every frame,
 and so on every hit.  `_representatives` evaluates those slots once per
 search on the 2^k assignments of one world and keeps the smallest
 assignment giving each row.  The valuations that give every world such a
-representative form a product over the worlds.  For numpy chunks `_table`
-packs them into the variables' bit planes in canonical order (a
-`np.lexsort` of their n-bit groups, the first variable's primary), padded
-with copies of the last to whole words; the int form reads them unpadded,
-in the product's order, world 0's representative the most significant
-digit.  Neither forms a code, so both hold at any k*n.  The witness is the
-same: canonical order is variable-major, so the smallest code among the
-product takes at each world the smallest assignment with its row, a
-representative.  So the first hit is a representative: met first in the
-padded table, where a copy hits only if the last entry, which comes before
-it, does; and the least canonical code that hits in the first hit frame of
-the product.  The table is read where a frame has more than 64
-valuations, at most `_PAIRS`, if its padded count, `_table_size`, is
-below the scan's.
+representative form a product over the worlds, and both forms read it in
+one layout, `_valuation_rows`: the product's order, world 0's
+representative the most significant digit, which forms no code and so
+holds at any k*n.  The int form reads its plain scan the same way, as the
+product of all 2^k assignments.  The witness is the same: canonical order
+is variable-major, so the smallest code among the product takes at each
+world the smallest assignment with its row, a representative; and
+`_valuation` takes the least canonical code among the valuations that hit
+in the first hit frame, for both forms.  On numpy `_table` zero-pads the
+table to whole words, which leaves the first hit as it is: a padded bit is
+the all-false valuation, product index 0, as 0 is the least member of its
+class and so always a representative, so a padded bit hits only where
+index 0 hits; and a frame's table valuations, at most `_PAIRS`, lie in one
+chunk, so the first hit frame holds all of that frame's hits.  The table
+is read from the first n with more than 64 valuations a frame, wherever
+the product has at most `_PAIRS`.
 
 The scan reads one relation per isomorphism class.  A permutation of the
 worlds maps a frame of a named class to a frame of the class, since every
@@ -139,7 +141,8 @@ kept for every n.  This is orderly generation (Read 1978,
 "Every one a winner"; McKay 1998, "Isomorph-free exhaustive generation").
 At n = 4 it keeps 3,044 of the 65,536 relations of `s2_0`, 218 of the 4,096
 of `s2` and 33 of the 355 of `s3`.  `enumerate_frames` still yields every
-frame, decoding the relation codes `_CODES` at a time as it yields.
+frame: up to `_INT_TABLES` worlds it walks the relation codes on ints, and
+above it decodes them `_CODES` at a time as it yields.
 
 The scan also skips frames that differ only in idle rows.  At a non-normal
 world `box`, `=>`, `|>` and `||>` are false and `dia` is true, whatever its
@@ -162,7 +165,8 @@ n = 4 the scan reads 3,955 frames of `s2_0` of 45,660 relations x masks,
 `np` is a proxy that imports numpy at its first attribute read.  A process
 whose searches stay within `_INT_TABLES` worlds and `_INT_BITS` bits a
 slot, such as `superstrict suite` at default bounds or `countermodel`
-at `--max-n 3`, never imports it; the first size above either does.
+at `--max-n 3`, or that enumerates frames of at most `_INT_TABLES` worlds,
+never imports it; the first size above either does.
 """
 
 from __future__ import annotations
@@ -280,6 +284,11 @@ def _frame_table(n: int, fc: FrameClass) -> np.ndarray:
     return _frozen(np.concatenate([rows.take(_orbit_least(rows), axis=1) for rows in blocks], axis=1))[0]
 
 
+def _relation(code: int, n: int) -> tuple[int, ...]:
+    """The successor masks of the relation with canonical code `code` on n worlds."""
+    return tuple(_mask(code >> n * (n - 1 - w) & (1 << n) - 1, n) for w in range(n))
+
+
 @lru_cache(maxsize=None)
 def _least_relations(n: int) -> tuple[tuple[int, ...], ...]:
     """The relations on n worlds, each as its n successor masks, whose code
@@ -293,8 +302,7 @@ def _least_relations(n: int) -> tuple[tuple[int, ...], ...]:
     reached, least = set(), []
     for code in range(1 << n * n):
         if code not in reached:
-            rel = tuple(_mask(code >> n * (n - 1 - w) & (1 << n) - 1, n) for w in range(n))
-            least.append(rel)
+            least.append(rel := _relation(code, n))
             reached.update(sum(m[rel[i]] << n * (n - 1 - p[i]) for i in range(n)) for p, m in zip(perms, moved))
     return tuple(least)
 
@@ -371,34 +379,16 @@ def _pack(n: int, masks: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
     return _frozen(*planes)
 
 
-def _table_size(n: int, k: int, reps: tuple[int, ...]) -> int | None:
-    """The count of `_table`'s valuations, padded to a power of two up to
-    64, else to whole 64-bit words; None where no table is read: above
-    `_PAIRS` valuations, or when the padded count is no smaller than the
-    2^(k*n) valuations they replace."""
-    count = len(reps) ** n
-    if count > _PAIRS:
-        return None
-    size = 1 << (count - 1).bit_length() if count <= 64 else -(-count // 64) * 64
-    return size if size < 1 << k * n else None
-
-
 @lru_cache(maxsize=64)
-def _table(n: int, k: int, reps: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], int] | None:
-    """The `_pack` planes of the valuations on n worlds that give every
-    world one of the k-bit assignments `reps`, in canonical order, padded
-    with copies of the last to `_table_size`, and that padded count, or
-    None where `_table_size` is."""
-    if (size := _table_size(n, k, reps)) is None:
-        return None
+def _table(n: int, k: int, reps: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], int]:
+    """The `_valuation_rows` of the type table `reps` on n worlds in the
+    layout of `_pack`, and their count zero-padded to a power of two up to
+    64, else to whole 64-bit words, as `_geometry`'s words need."""
     count = len(reps) ** n
-    rev = _reversal(n)
-    bits = np.array([[a >> k - 1 - i & 1 for a in reps] for i in range(k)], dtype=rev.dtype)
-    masks = np.zeros((k, 1), dtype=rev.dtype)
-    for w in range(n):  # each variable's world masks over the product of the worlds' assignments
-        masks = (masks[:, :, None] | bits[:, None, :] << w).reshape(k, -1)
-    order = np.lexsort(rev.take(masks)[::-1])  # by n-bit groups, the first variable's the primary key
-    return _pack(n, masks.take(np.pad(order, (0, size - count), mode="edge"), axis=1)), size
+    size = 1 << (count - 1).bit_length() if count <= 64 else -(-count // 64) * 64
+    word, length = f"<u{max(min(size, 64) // 8, 1)}", max(size // 8, 1)
+    return tuple(np.frombuffer(b"".join(x.to_bytes(length, "little") for x in var), word).reshape(n, 1, -1)
+                 for var in _valuation_rows(n, k, reps)), size
 
 
 @lru_cache(maxsize=64)
@@ -467,22 +457,30 @@ def _frame_leaves(n: int, rows: tuple[bytes, ...], normals: bytes, nvals: int) -
 
 @lru_cache(maxsize=64)
 def _valuation_rows(n: int, k: int, reps: tuple[int, ...] | None) -> tuple[tuple[int, ...], ...]:
-    """The variables' planes of one frame in the int form: `rows[i][w]`
-    has bit v set where variable i holds at world w under valuation v.
-    Without `reps` v is the canonical code, so a row alternates runs of 0s
-    and 1s as long as its bit's place value, as `_representatives` lays out
-    its variables on one world.  With them the valuations are every n-tuple
-    of assignments `reps`, given to worlds 0 .. n-1, v their index in base
-    len(reps) with world 0's the most significant digit: not canonical
-    order where k > 1 and n > 1, as canonical order compares a variable at
-    every world before the next variable; `_int_hit` restores it."""
+    """The variables' planes of one frame: `rows[i][w]` has bit v set where
+    variable i holds at world w under valuation v.  The valuations are
+    every n-tuple of the k-bit assignments `reps`, all 2^k without them,
+    given to worlds 0 .. n-1, v their index in base len(reps) with world
+    0's the most significant digit: not canonical order where k > 1 and
+    n > 1, as canonical order compares a variable at every world before
+    the next variable; `_valuation` restores it."""
+    # byte d of holds[i]: variable i under the d-th assignment; of all 2^k, runs of 2^(k-1-i) 0s and 1s
     if reps is None:
-        bits = [k * n - 1 - (i * n + w) for i in range(k) for w in range(n)]  # the code's bit of variable i at w
-        flat = [_repeat(_spread(b"\0\1", 0, 1 << b), 2 << b, 1 << k * n - 1 - b) for b in bits]
-        return tuple(tuple(flat[i * n:i * n + n]) for i in range(k))
-    r = len(reps)
-    holds = [bytes(a >> k - 1 - i & 1 for a in reps) for i in range(k)]  # byte d: variable i under reps[d]
+        r, holds = 1 << k, [(b"\0" * (1 << k - 1 - i) + b"\1" * (1 << k - 1 - i)) * (1 << i) for i in range(k)]
+    else:
+        r, holds = len(reps), [bytes(a >> k - 1 - i & 1 for a in reps) for i in range(k)]
     return tuple(tuple(_repeat(_spread(h, 0, r ** (n - 1 - w)), r ** (n - w), r ** w) for w in range(n)) for h in holds)
+
+
+def _valuation(n: int, k: int, reps: tuple[int, ...] | None, hits: int) -> list[int]:
+    """The variables' world masks under the least canonical code among the
+    valuations of `_valuation_rows(n, k, reps)` whose bits `hits` sets."""
+    rows = _valuation_rows(n, k, reps)
+    for var in rows:  # the code's bits from the top, each kept 0 where a valuation that hits has it 0
+        for x in var:
+            hits = hits & ~x or hits
+    v = hits.bit_length() - 1
+    return [sum((x >> v & 1) << w for w, x in enumerate(var)) for var in rows]
 
 
 @lru_cache(maxsize=64)
@@ -500,11 +498,16 @@ def enumerate_frames(n: int, fc: FrameClass) -> Iterator[Frame]:
     """Every frame on exactly n worlds satisfying `fc`, canonical order."""
     if n < 1:
         raise ValueError("frame size must be at least 1")
+    if n <= _INT_TABLES:  # on ints, as the int tables are built
+        every = (_relation(code, n) for code in range(1 << n * n))
+        relations = (rel for rel in every if semantics.relation_satisfies(rel, n, fc))
+    else:  # decoded as yielded, so the first frame comes at once
+        blocks = (_frame_block(n, fc, lo).T.tolist() for lo in range(0, 1 << n * n, _CODES))
+        relations = (tuple(rel) for block in blocks for rel in block)
     masks = _normals(n, fc, True)
-    for lo in range(0, 1 << n * n, _CODES):  # decoded as yielded, so the first frame comes at once
-        for rel in map(tuple, _frame_block(n, fc, lo).T.tolist()):
-            for nm in masks:
-                yield Frame(n, rel, nm)
+    for rel in relations:
+        for nm in masks:
+            yield Frame(n, rel, nm)
 
 
 def _compile(formulas: Sequence[Formula]) -> tuple[Program, list[int], tuple[str, ...]]:
@@ -653,9 +656,9 @@ def _int_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: i
     (relation, mask, variables' world masks), or None, evaluated on Python
     ints: the whole size at once, one int a slot, its leaves those of
     `_frame_leaves` and `_variable_planes` for the `nvals` valuations of
-    `reps`.  The first hit frame holds the lowest set bit; its valuation is
-    the least canonical code of those that hit there, as the type table's
-    layout is not canonical order."""
+    `reps`, all 2^k assignments a world without them.  The first hit frame
+    holds the lowest set bit, and `_valuation` decodes the valuation from
+    the bits that hit there, as the product's order is not canonical."""
     width, norm, edges = _frame_leaves(n, rows, normals, nvals)
     variables = _variable_planes(n, k, reps, len(normals))
     size = n * width
@@ -683,21 +686,17 @@ def _int_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: i
         return None
     pairs = one(mask)
     f = ((pairs & -pairs).bit_length() - 1) // nvals  # the first frame with a hit, in canonical order
-    hits = pairs >> f * nvals & (1 << nvals) - 1
-    valuations = _valuation_rows(n, k, reps)
-    for var in valuations:  # the code's bits from the top, each kept 0 where a valuation that hits has it 0
-        for x in var:
-            hits = hits & ~x or hits
-    v = hits.bit_length() - 1
-    return [row[f] for row in rows], normals[f], [sum((x >> v & 1) << w for w, x in enumerate(var)) for var in valuations]
+    return [row[f] for row in rows], normals[f], _valuation(n, k, reps, pairs >> f * nvals & (1 << nvals) - 1)
 
 
 def _array_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: int, rows: np.ndarray,
-               normals: np.ndarray, table: tuple | None, nvals: int) -> tuple | None:
+               normals: np.ndarray, reps: tuple[int, ...] | None, nvals: int) -> tuple | None:
     """The first hit as `_int_hit` gives it, evaluated on numpy chunks of
-    consecutive frames and valuations as `_geometry` sizes them; `table` is
-    the `_table` the scan reads, or None for the plain scan of every code."""
-    vstep, fstep, used, word = _geometry(len(program), n, nvals)
+    consecutive frames and valuations as `_geometry` sizes them: the `_table`
+    of `reps`, whose padded size holds all `nvals` valuations at once, or
+    without them ranges of every code from `_planes`."""
+    table, size = (None, nvals) if reps is None else _table(n, k, reps)
+    vstep, fstep, used, word = _geometry(len(program), n, size)
     words = vstep // used
     full = word.type((1 << used) - 1)
     bit = np.arange(n, dtype=rows.dtype)[:, None]
@@ -714,16 +713,17 @@ def _array_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k:
             return np.bitwise_or.reduce(succ & x, axis=1)
 
         for lo in range(0, nvals, vstep):
-            planes = _planes(n, k, lo, lo + vstep) if table is None else table[0]
+            planes = _planes(n, k, lo, lo + vstep) if table is None else table
             vals = _run(program, (full ^ full, norm, *planes), ex, full)
             mask = hit(norm, full, some, *(vals[r] for r in roots))
             if mask.any():
                 pairs = some(np.broadcast_to(mask, (n, nm.size, words)))[0]
                 f, t = map(int, np.unravel_index(np.flatnonzero(pairs)[0], pairs.shape))
+                if table is not None:  # a padded bit is valuation 0, which hits wherever it does
+                    return fr[:, f], nm[f], _valuation(n, k, reps, int.from_bytes(pairs[f].tobytes(), "little"))
                 bits = int(pairs[f, t])
-                j = (bits & -bits).bit_length() - 1
-                valuation = [sum((b >> j & 1) << w for w, b in enumerate(p[:, 0, t].tolist())) for p in planes]
-                return fr[:, f], nm[f], valuation
+                code = lo + t * used + (bits & -bits).bit_length() - 1
+                return fr[:, f], nm[f], [_mask(code >> n * (k - 1 - i) & (1 << n) - 1, n) for i in range(k)]
     return None
 
 
@@ -744,12 +744,13 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     x valuations: up to `_INT_BITS` the whole size is one chunk of Python
     ints, `_int_hit`, else numpy chunks, `_array_hit`, on the frames of
     `_frames`, read once per n (see the module docstring).
-    The valuations are the codes 0..2^(k*n)-1, or the shorter table of the
-    formulas' propositional types, computed at the first n with more than
-    64 valuations a frame: all at once and unpadded on ints,
-    `_valuation_rows`, and on numpy packed by `_planes` a range at a time,
-    or by `_table`.  The witness valuation is read from the planes at the
-    hit, its world from re-verification.  A size past k*n = 64 must read the table, as the
+    The valuations are all 2^(k*n), or the shorter table of the formulas'
+    propositional types, computed at the first n with more than 64
+    valuations a frame and read wherever it has at most `_PAIRS`: on ints
+    both in the product order of `_valuation_rows`, and on numpy the table
+    zero-padded by `_table`, or every code in ranges packed by `_planes`.
+    The witness valuation is decoded at the hit, its world taken from
+    re-verification.  A size past k*n = 64 must read the table, as the
     plain scan's codes stop there; the table grows with n, so where there
     is none at `max_n` the search is refused with `ValueError` at once."""
     if max_n < 1:
@@ -758,8 +759,7 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     if desugared and formulas[1] is formulas[0]:  # one formula, already in the core language
         return None
     k = len(names)
-    if k * max_n > 64 and ((types := _representatives(program, roots, k)) is None
-                           or _table_size(max_n, k, types) is None):
+    if k * max_n > 64 and ((types := _representatives(program, roots, k)) is None or len(types) ** max_n > _PAIRS):
         raise ValueError(f"{k} variables on {max_n} worlds: a scan of every valuation is limited to "
                          "variables x worlds <= 64")
     reps = None
@@ -768,17 +768,13 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
         # types from n = 1 timed within noise on `run_suite()`
         if k * (n - 1) <= 6 < k * n:
             reps = _representatives(program, roots, k)
-        types = None if reps is None or _table_size(n, k, reps) is None else reps
-        nvals = 1 << (k * n) if types is None else len(types) ** n  # unpadded on ints
+        types = reps if reps is not None and len(reps) ** n <= _PAIRS else None
+        nvals = 1 << (k * n) if types is None else len(types) ** n
         native = n <= _INT_TABLES  # the form the size's table is built in
         frames = _frames(n, fc, all_points, native)
         if (ints := n * len(frames[1]) * nvals <= _INT_BITS) != native:
             frames = _frames(n, fc, all_points, ints)
-        if ints:
-            found = _int_hit(program, roots, hit, n, k, *frames, types, nvals)
-        else:
-            table = None if types is None else _table(n, k, types)
-            found = _array_hit(program, roots, hit, n, k, *frames, table, nvals if table is None else table[1])
+        found = (_int_hit if ints else _array_hit)(program, roots, hit, n, k, *frames, types, nvals)
         if found is not None:
             rel, nm, valuation = found
             frame = Frame(n, tuple(int(r) for r in rel), int(nm))

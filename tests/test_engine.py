@@ -207,13 +207,23 @@ def assert_representatives_match_the_reference(f, other):
         assert _representatives(program, roots, len(names)) == representatives(program, roots, len(names))
 
 
+def product_codes(n, k, reps):
+    """The canonical codes of the valuations that give every world one of
+    the assignments `reps`, in product order, world 0's the most significant
+    digit."""
+    return [sum(1 << k * n - 1 - (i * n + w) for w, a in enumerate(row) for i in range(k) if a >> k - 1 - i & 1)
+            for row in itertools.product(reps, repeat=n)]
+
+
+def padded(count):
+    """The least power of two up to 64, or multiple of 64 up to `_PAIRS`, that holds `count`."""
+    return next(size for size in (1, 2, 4, 8, 16, 32, *range(64, _PAIRS + 1, 64)) if size >= count)
+
+
 def table_codes(n, k, reps):
     """The canonical codes, as Python ints, of the valuations whose bit
-    planes `_table` packs, in table order; None where it builds no table."""
-    table = _table(n, k, reps)
-    if table is None:
-        return None
-    planes, size = table
+    planes `_table` packs, in table order: `product_codes`, then zeros."""
+    planes, size = _table(n, k, reps)
     bits = np.array([np.unpackbits(p.view(np.uint8), axis=-1, bitorder="little")[:, 0, :size] for p in planes])
     rows = np.packbits(bits.reshape(k * n, size).T, axis=1)  # bit i*n + w from the top: variable i at world w
     return [int.from_bytes(row.tobytes(), "big") >> -(k * n) % 8 for row in rows]
@@ -256,6 +266,7 @@ def test_witness_in_canonical_not_world_major_order():
     assert key == (2, 1, {"worlds": 2, "rel": [[], [0]], "normals": [0, 1],
                           "val": {"p": [0], "q": [0], "r": [], "s": []}})
     assert_same_without("types", partial(search_keys, f, parse("dia top"), K, 2))
+    assert_agrees_on_numpy(f, K, 2)
 
 
 def test_witness_in_the_padded_last_word():
@@ -265,12 +276,36 @@ def test_witness_in_the_padded_last_word():
     reps = reps_of(f)
     assert reps == (0, 1, 2, 3, 8, 9, 10, 11, 12, 13, 14, 15)
     table = table_codes(2, 4, reps)
-    assert len(table) == 192 and set(table[143:]) == {(1 << 8) - 1}
+    assert table == product_codes(2, 4, reps) + [0] * 48 and table[143] == (1 << 8) - 1
     key = countermodel_key(f, K, 2)
     assert key == oracle_countermodel(f, K, 2)
     assert key[2]["val"] == {x: [0, 1] for x in "pqrs"} and valuation_code(key[2]) == (1 << 8) - 1
     assert_same_without("types", partial(search_keys, f, parse("dia top"), K, 2))
+    assert_agrees_on_numpy(f, K, 2)
     assert len(table_codes(4, 3, reps_of(CATALOG_BY_NAME["ssi_transitivity"].formula))) == 2432  # 7^4 = 2,401 codes
+
+
+def assert_agrees_on_numpy(f, fc, max_n):
+    """Every search of `f` agrees with the oracle where each size runs on numpy chunks."""
+    with pytest.MonkeyPatch.context() as mp:
+        switch_off(mp, "ints")
+        calls = forms_of_run(mp)
+        assert_all_searches_agree(f, parse("dia top"), fc, max_n)
+    assert {form for _, form in calls} == {"array"}
+
+
+def test_witness_at_index_zero_of_a_padded_table():
+    # 3 types (no variable of p..s, some, all), so 9 codes at n = 2, padded to 16 with zeros:
+    # `box box top` fails first at a normal world that sees a non-normal one, where no
+    # variable need hold, so the witness is the all-false valuation, product index 0, which
+    # the padded bits repeat on numpy
+    f = parse("box box top | (p | q | r | s) | dia (p & q & r & s)")
+    reps = reps_of(f)
+    assert reps == (0, 1, 15)
+    assert table_codes(2, 4, reps) == product_codes(2, 4, reps) + [0] * 7
+    key = countermodel_key(f, S2_0, 2)
+    assert key == oracle_countermodel(f, S2_0, 2) and valuation_code(key[2]) == 0
+    assert_agrees_on_numpy(f, S2_0, 2)
 
 
 def test_constant_atoms_leave_one_valuation():
@@ -301,17 +336,30 @@ def test_random_representatives_match_the_reference(f, other):
     assert_representatives_match_the_reference(Or(f, And(Var("p"), And(Var("q"), Var("r")))), other)
 
 
-def test_code_tables_stay_within_the_pair_budget():
+def test_code_tables_stay_within_the_pair_budget(monkeypatch):
     for k, reps in ((3, (0, 2, 3, 4, 5, 6, 7)), (4, tuple(range(15))), (2, (0, 2, 3)), (15, (0, 1, 5))):
         for n in range(1, 64 // k + 1):
-            table = table_codes(n, k, reps)
-            if len(reps) ** n > _PAIRS:
-                assert table is None
-            elif table is not None:
-                assert len(reps) ** n <= len(table) <= _PAIRS and len(table) < 1 << k * n
-                assert table == sorted(table)
-    assert table_codes(1, 7, tuple(range(127))) is None  # 127 codes pad to 128 = 2^7: nothing saved
+            if (count := len(reps) ** n) <= _PAIRS:  # the search reads no table above
+                table = table_codes(n, k, reps)
+                assert len(table) == padded(count) <= 1 << k * n
+                assert table == product_codes(n, k, reps) + [0] * (len(table) - count)
+    assert table_codes(1, 7, tuple(range(127))) == [*range(127), 0]  # 127 codes pad to 128 = 2^7
     assert reps_of(parse(" & ".join("abcdefghijklmnop"))) is None  # 2^16 assignments: more than _PAIRS
+    # 15 types of 4 variables, read from n = 2, the first size above 64 valuations a frame, to
+    # n = 3, 15^3 = 3,375; at n = 4, 15^4 = 50,625 > _PAIRS, so every one of the 2^16 codes
+    f = parse("(dia p & dia q & dia r & dia (s & (p | q | r))) -> dia top")
+    assert len(reps_of(f)) == 15
+    read = []  # (n, types, valuations a frame) of each size evaluated
+    for form in ("_int_hit", "_array_hit"):
+        evaluate = getattr(search, form)
+        monkeypatch.setattr(search, form, lambda *args, run=evaluate: read.append((args[3], *args[-2:])) or run(*args))
+    assert find_countermodel(f, NAMED_CLASSES["s5"], 4) is None
+    assert [(n, nvals) for n, types, nvals in read] == [(1, 16), (2, 225), (3, 3375), (4, 1 << 16)]
+    assert [types for n, types, nvals in read] == [None, reps_of(f), reps_of(f), None]
+    # past 64 valuation bits a size must read the table: refused where it is above _PAIRS
+    assert len(reps_of(WIDE)) ** 6 <= _PAIRS < len(reps_of(WIDE)) ** 7
+    with pytest.raises(ValueError, match="^15 variables on 7 worlds: "):
+        find_countermodel(WIDE, NAMED_CLASSES["s5"], 7)
 
 
 # Five types of p, q and r, which the sorted names put first; x10..x21 occur
@@ -325,9 +373,7 @@ def test_types_beyond_64_valuation_bits():
     reps = reps_of(WIDE)
     assert len(reps) == 5 and all(a % (1 << 12) == 0 for a in reps)  # the x variables false
     n, k = 5, 15
-    codes = sorted(sum(1 << k * n - 1 - (i * n + w) for w, a in enumerate(row) for i in range(k) if a >> k - 1 - i & 1)
-                   for row in itertools.product(reps, repeat=n))
-    assert table_codes(n, k, reps) == codes + [codes[-1]] * (3136 - len(codes))  # 5^5 = 3,125 codes, padded
+    assert table_codes(n, k, reps) == product_codes(n, k, reps) + [0] * 11  # 5^5 = 3,125 codes, padded to 3,136
     # the first witness sets no x variable, so it is the plain scan's witness without them
     key = countermodel_key(WIDE, NAMED_CLASSES["s5"], n)
     with pytest.MonkeyPatch.context() as mp:

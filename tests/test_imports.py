@@ -1,8 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 private name a module defines is read somewhere in the package, and numpy
 is imported at the first search that needs it, past three worlds or past
-the int form's budget, not with the package or a search that never leaves
-Python ints."""
+the int form's budget, not with the package, a search that never leaves
+Python ints or the frames of three worlds or fewer."""
 
 import ast
 import json
@@ -80,7 +80,8 @@ def test_frame_conditions_are_read_in_one_place():
     assert readers == CONDITION_READERS
 
 
-# Commands that never search, then a search to n = 3 on ints and one to n = 4; one JSON line on stdout.
+# Commands that never search, then a search to n = 3 on ints, the frames of s3 at n = 3, and a
+# search to n = 4; one JSON line on stdout.
 LAZY_NUMPY = """
 import contextlib, io, json, sys
 import superstrict
@@ -97,6 +98,8 @@ for argv in (["parse", "--formula", formula], ["parse", "--json", "--formula", f
     loaded[" ".join(argv[:2])] = code, "numpy" in sys.modules
 report = superstrict.find_countermodel(superstrict.parse(formula), superstrict.NAMED_CLASSES[fc], 3)
 loaded["search"] = "numpy" in sys.modules
+frames = sum(1 for _ in superstrict.enumerate_frames(3, superstrict.NAMED_CLASSES["s3"]))
+loaded["enumerate_frames"] = frames, "numpy" in sys.modules
 superstrict.find_countermodel(superstrict.parse("p -> p"), superstrict.NAMED_CLASSES["s2_0"], 4)
 loaded["search at n = 4"] = "numpy" in sys.modules
 print(json.dumps({"loaded": loaded, "report": [report.frame_size, report.world, superstrict.model_to_json(report.model)]}))
@@ -115,7 +118,7 @@ def test_numpy_loads_at_the_first_search(tmp_path):
                              "parse --formula": [0, False], "parse --json": [0, False],
                              "translate --to": [0, False], "eval --formula": [0, False],
                              "prove --system": [0, False], "--help": [0, False], "search": False,
-                             "search at n = 4": True}
+                             "enumerate_frames": [232, False], "search at n = 4": True}
     report = find_countermodel(parse(formula), NAMED_CLASSES[fc], 3)
     assert out["report"] == [report.frame_size, report.world, model_to_json(report.model)]
 

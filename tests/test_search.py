@@ -60,7 +60,7 @@ class TestEnumeration:
     def test_unconstrained_count_formula(self, n):
         assert len(list(enumerate_frames(n, S2_0))) == 2 ** (n * n + n)
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])  # on ints, as up to `_INT_TABLES` worlds
     @pytest.mark.parametrize("conditions", EVERY_CLASS, ids=class_id)
     def test_stream_matches_naive_enumerator(self, n, conditions):
         mine = [frame_as_sets(f) for f in enumerate_frames(n, FrameClass(**conditions))]
