@@ -23,7 +23,9 @@ idle rows below show cannot hold the first hit.  Up to `_INT_TABLES` = 3
 worlds, at most 512 relation codes, the relations, `_int_frame_table`, and
 the list are built on Python ints; above it numpy decodes the codes a block
 at a time, `_frame_table`, and cuts the list.  The form is picked by n
-alone, and each form converts the other's list once per size.
+alone, and either writes the list in one layout, the int form's: n bytes
+objects of successor masks, byte f of row w world w's successors in frame
+f, and one bytes object of normality masks, which numpy views as arrays.
 
 `_first_hit` keeps the programs of the last `_COMPILED_MAX` = 256 formula
 tuples it searched, the least recently used dropped first.  The key is the
@@ -59,7 +61,7 @@ ints takes about a tenth of that.  So:
   first hit frame, and the least canonical code among the valuations that
   hit there is the first hit valuation.
 * Above it, the program runs on numpy chunks of `fstep` consecutive frames
-  x a range of `vstep` valuation codes: as many frames as keep every slot's
+  x a range of `vstep` valuations: as many frames as keep every slot's
   bit planes within `_CHUNK_BYTES`, so the Python loop and one numpy call
   per instruction are paid once per megabyte of planes, and a frame with
   more valuations than `_PAIRS` alone, walking them in ranges of `_PAIRS`.
@@ -67,17 +69,16 @@ ints takes about a tenth of that.  So:
   frame's valuations are packed little-endian into words of `used =
   min(vstep, 64)` bits (uint8 holds 1, 2, 4 or 8 of them, wider words are
   filled), so bit j of word t of plane w is the slot's truth at world w
-  under the valuation at bit j of word t of the variables' planes; in the
-  plain scan, which packs `_planes` from uint64 codes and so stops at k*n =
-  64 (`_first_hit` refuses a search past that), it is code lo + t * used +
-  j.  The leaves broadcast: the variables' planes are (n, 1, words), so a
-  slot that meets no normal point or successor is computed once a chunk,
-  the normal points (n, frames, 1), and the frames' successors a (world,
+  under valuation t * used + j of the range: `_planes` packs the variables'
+  planes by `int.to_bytes` from the int form's rows of the range.  The
+  leaves broadcast: the variables' planes are (n, 1, words), so a slot
+  that meets no normal point or successor is computed once a chunk, the
+  normal points (n, frames, 1), and the frames' successors a (world,
   successor, frames, 1) array of all-ones or all-zero words.  "Some
   successor is in" ORs the successor words, masked by the operand, over
-  the successor axis.  The first nonzero word of the hit planes ORed over
-  the worlds, (frame f, word t) in row-major order, and its lowest set bit
-  j give the first hit frame and, in the plain scan, valuation.
+  the successor axis.  The first frame with a nonzero word in the hit
+  planes ORed over the worlds is the first hit frame, and its words, read
+  as one int, are the bits that hit there, decoded as the int form's are.
 
 A search is a hit predicate on the program's results, `hit(normals, full,
 some, *results)`, built from `&`, `|` and `^`, the all-ones value `full` and
@@ -108,19 +109,23 @@ assignment giving each row.  The valuations that give every world such a
 representative form a product over the worlds, and both forms read it in
 one layout, `_valuation_rows`: the product's order, world 0's
 representative the most significant digit, which forms no code and so
-holds at any k*n.  The int form reads its plain scan the same way, as the
-product of all 2^k assignments.  The witness is the same: canonical order
-is variable-major, so the smallest code among the product takes at each
-world the smallest assignment with its row, a representative; and
-`_valuation` takes the least canonical code among the valuations that hit
-in the first hit frame, for both forms.  On numpy `_table` zero-pads the
-table to whole words, which leaves the first hit as it is: a padded bit is
-the all-false valuation, product index 0, as 0 is the least member of its
+holds at any k*n.  The plain scan reads every code in canonical order,
+`_code_rows`: on ints one row of 2^(k*n) bits, on numpy ranges of it.  One
+decode, `_valuation`, takes the least canonical code among the valuations
+that hit in the first hit frame, whatever the rows' order; the witness is
+the same, as canonical order is variable-major, so the smallest code
+among the product takes at each world the smallest assignment with its
+row, a representative.  On numpy `_array_hit` zero-pads the valuations to
+whole words, which leaves the first hit as it is: a padded bit is the
+all-false valuation, product index 0, as 0 is the least member of its
 class and so always a representative, so a padded bit hits only where
 index 0 hits; and a frame's table valuations, at most `_PAIRS`, lie in one
-chunk, so the first hit frame holds all of that frame's hits.  The table
-is read from the first n with more than 64 valuations a frame, wherever
-the product has at most `_PAIRS`.
+chunk, so the first hit frame holds all of that frame's hits.  A plain
+scan's count is a power of two, never padded, and a frame with more than
+`_PAIRS` valuations is alone in its chunk and walks its ranges in order,
+so the first range that hits holds its least hitting code.  The table is
+read from the first n with more than 64 valuations a frame, wherever the
+product has at most `_PAIRS`.
 
 The scan reads one relation per isomorphism class.  A permutation of the
 worlds maps a frame of a named class to a frame of the class, since every
@@ -176,7 +181,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import semantics
 from .semantics import Frame, FrameClass, Model, extension, holds, satisfies_class
@@ -223,12 +228,6 @@ def _reversal(n: int) -> np.ndarray:
     return _frozen(np.array([_mask(m, n) for m in range(1 << n)], dtype=np.min_scalar_type((1 << n) - 1)))[0]
 
 
-def _groups(codes: np.ndarray, n: int, count: int) -> list[np.ndarray]:
-    """World masks of the `count` n-bit groups of big-endian uint64 codes."""
-    rev, low = _reversal(n), np.uint64((1 << n) - 1)
-    return [rev[(codes >> np.uint64(n * (count - 1 - i))) & low] for i in range(count)]
-
-
 @lru_cache(maxsize=None)
 def _relabellings(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n! permutations of the worlds, the identity first, as two tables:
@@ -268,7 +267,8 @@ def _frame_block(n: int, fc: FrameClass, lo: int) -> np.ndarray:
     [lo, lo + _CODES) that meet the relational conditions of `fc`, in
     canonical order, as `semantics.relation_satisfies` states them, read
     there: a caller may wrap `search.relation_satisfies` for one frame."""
-    rows = _groups(np.arange(lo, min(lo + _CODES, 1 << n * n), dtype=np.uint64), n, n)
+    codes, low = np.arange(lo, min(lo + _CODES, 1 << n * n), dtype=np.uint64), np.uint64((1 << n) - 1)
+    rows = [_reversal(n)[codes >> np.uint64(n * (n - 1 - w)) & low] for w in range(n)]  # world w's successors
     ok = np.broadcast_to(semantics.relation_satisfies(rows, n, fc), rows[0].shape)  # a plain True without a condition
     # row by row, so the table is C-ordered: `np.stack(rows)[:, ok]` is not,
     # and its strides slow every operation in `_run` that broadcasts
@@ -328,32 +328,25 @@ def _idle_least(fc: FrameClass) -> bool:
     return not (fc.serial or fc.symmetric or fc.euclidean)
 
 
-def _frames(n: int, fc: FrameClass, all_points: bool, ints: bool = False) -> tuple:
+def _frames(n: int, fc: FrameClass, all_points: bool) -> tuple[tuple[bytes, ...], bytes]:
     """The frames a search of `fc` reads at n, cut by the functions
-    `_idle_least` and, by n, `_int_frame_table` or `_frame_table` name now:
-    numpy arrays, or with `ints` the bytes the int form reads."""
+    `_idle_least` and, by n, `_int_frame_table` or `_frame_table` name now."""
     table = _int_frame_table if n <= _INT_TABLES else _frame_table
-    return _cut_frames(n, fc, all_points, _idle_least(fc), table, ints)
+    return _cut_frames(n, fc, all_points, _idle_least(fc), table)
 
 
 @lru_cache(maxsize=None)
-def _cut_frames(n: int, fc: FrameClass, all_points: bool, idle: bool, table: Callable, ints: bool) -> tuple:
+def _cut_frames(n: int, fc: FrameClass, all_points: bool, idle: bool,
+                table: Callable) -> tuple[tuple[bytes, ...], bytes]:
     """The frames a search of `fc` reads at n, in canonical order: each
     relation `table` gives for `fc` without `all_normal` under each mask of
     `_normals`, less, with `idle`, those with a non-normal world whose row
     is not the least in the table, empty or the world itself under
-    reflexivity.  They are cut in the form `table` gives, ints up to
-    `_INT_TABLES` worlds, else numpy, and converted once for the other:
-    numpy successor rows, shape (n, frames), and masks; or, with `ints`,
-    n bytes objects of rows, byte f of row w world w's successors in frame
-    f, and a bytes object of masks."""
-    if ints != (n <= _INT_TABLES):
-        rows, normals = _cut_frames(n, fc, all_points, idle, table, not ints)
-        if ints:
-            return tuple(map(bytes, rows.tolist())), bytes(normals.tolist())
-        return _frozen(np.frombuffer(b"".join(rows), np.uint8).reshape(n, -1), np.frombuffer(normals, np.uint8))
+    reflexivity.  They are cut on ints up to `_INT_TABLES` worlds, else on
+    numpy, into one layout: n bytes objects of rows, byte f of row w world
+    w's successors in frame f, and a bytes object of masks."""
     relations, masks = table(n, replace(fc, all_normal=False)), _normals(n, fc, all_points)
-    if ints:
+    if n <= _INT_TABLES:
         least, frames = [min(rel[w] for rel in relations) for w in range(n)], []
         for rel in relations:  # under each mask where every world whose row is not least is normal
             need = sum(1 << w for w in range(n) if idle and rel[w] != least[w])
@@ -363,39 +356,22 @@ def _cut_frames(n: int, fc: FrameClass, all_points: bool, idle: bool, table: Cal
     keep = np.ones((rows.shape[1], normals.size), dtype=bool)
     for w in range(n) if idle else ():
         keep &= (normals >> w & 1 == 1) | (rows[w] == rows[w].min(initial=(1 << n) - 1))[:, None]
-    # relation-major, each relation repeated once per mask it keeps: no index arrays
-    return _frozen(rows.repeat(keep.sum(axis=1), axis=1), np.broadcast_to(normals, keep.shape)[keep])
-
-
-def _pack(n: int, masks: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Each variable's world masks under a list of valuations as bit planes,
-    shape (n, 1, words): bit j of word t of plane w is its truth at w under
-    valuation t * used + j, with `used = min(valuations, 64)`."""
-    planes = []
-    for mask in masks:
-        bits = mask >> np.arange(n, dtype=mask.dtype)[:, None] & 1
-        packed = np.packbits(bits.reshape(n, -1, min(mask.size, 64)), axis=-1, bitorder="little")
-        planes.append(packed.view(f"<u{packed.shape[-1]}").reshape(n, 1, -1))
-    return _frozen(*planes)
+    # relation-major, each relation repeated once per mask it keeps, a row at a time: no index arrays
+    count = keep.sum(axis=1)
+    return tuple(row.repeat(count).tobytes() for row in rows), np.broadcast_to(normals, keep.shape)[keep].tobytes()
 
 
 @lru_cache(maxsize=64)
-def _table(n: int, k: int, reps: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], int]:
-    """The `_valuation_rows` of the type table `reps` on n worlds in the
-    layout of `_pack`, and their count zero-padded to a power of two up to
-    64, else to whole 64-bit words, as `_geometry`'s words need."""
-    count = len(reps) ** n
-    size = 1 << (count - 1).bit_length() if count <= 64 else -(-count // 64) * 64
+def _planes(n: int, k: int, reps: tuple[int, ...] | None, lo: int, size: int) -> tuple[tuple, tuple[np.ndarray, ...]]:
+    """The variables' rows of `size` valuations and their numpy bit planes,
+    shape (n, 1, words): the `_valuation_rows` of the type table `reps`,
+    zero-padded to `size`, or without it the `_code_rows` of codes lo ..
+    lo + size - 1.  Bit j of word t of plane w is bit t * used + j of the
+    row of world w, with `used = min(size, 64)`."""
+    rows = _code_rows(n, k, lo, size) if reps is None else _valuation_rows(n, k, reps)
     word, length = f"<u{max(min(size, 64) // 8, 1)}", max(size // 8, 1)
-    return tuple(np.frombuffer(b"".join(x.to_bytes(length, "little") for x in var), word).reshape(n, 1, -1)
-                 for var in _valuation_rows(n, k, reps)), size
-
-
-@lru_cache(maxsize=64)
-def _planes(n: int, k: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-    """The bit planes of k variables under valuation codes lo..hi-1, as
-    `_pack` lays them out: bit j of word t is code lo + t * used + j."""
-    return _pack(n, _groups(np.arange(lo, hi, dtype=np.uint64), n, k))
+    return rows, tuple(np.frombuffer(b"".join(x.to_bytes(length, "little") for x in var), word).reshape(n, 1, -1)
+                       for var in rows)
 
 
 @lru_cache(maxsize=None)
@@ -455,27 +431,45 @@ def _frame_leaves(n: int, rows: tuple[bytes, ...], normals: bytes, nvals: int) -
     return width, norm, edges
 
 
+def _stripes(b: int, bits: int) -> int:
+    """The int of 2^bits bits whose bit v is bit b < bits of v: runs of
+    2^b zeros and 2^b ones, by `_repeat`."""
+    run = 1 << b
+    return _repeat((1 << run) - 1 << run, 2 * run, 1 << bits - 1 - b)
+
+
+def _code_rows(n: int, k: int, lo: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """The variables' rows of the valuation codes lo .. lo + size - 1, a
+    power of two that divides lo: `rows[i][w]` has bit j set where variable
+    i holds at world w under code lo + j, bit k*n - 1 - (i*n + w) of it.
+    A code's bits below log2(size) are j's, and those above are lo's."""
+    bits, full = size.bit_length() - 1, (1 << size) - 1
+
+    def row(b: int) -> int:  # bit b of each code
+        return _stripes(b, bits) if b < bits else full * (lo >> b & 1)
+
+    return tuple(tuple(row(k * n - 1 - i * n - w) for w in range(n)) for i in range(k))
+
+
 @lru_cache(maxsize=64)
 def _valuation_rows(n: int, k: int, reps: tuple[int, ...] | None) -> tuple[tuple[int, ...], ...]:
     """The variables' planes of one frame: `rows[i][w]` has bit v set where
     variable i holds at world w under valuation v.  The valuations are
-    every n-tuple of the k-bit assignments `reps`, all 2^k without them,
-    given to worlds 0 .. n-1, v their index in base len(reps) with world
-    0's the most significant digit: not canonical order where k > 1 and
-    n > 1, as canonical order compares a variable at every world before
-    the next variable; `_valuation` restores it."""
-    # byte d of holds[i]: variable i under the d-th assignment; of all 2^k, runs of 2^(k-1-i) 0s and 1s
+    every n-tuple of the k-bit assignments `reps` given to worlds 0 .. n-1,
+    v their index in base len(reps) with world 0's the most significant
+    digit: not canonical order where k > 1 and n > 1, as canonical order
+    compares a variable at every world before the next variable; without
+    `reps`, every code, v the code itself."""
     if reps is None:
-        r, holds = 1 << k, [(b"\0" * (1 << k - 1 - i) + b"\1" * (1 << k - 1 - i)) * (1 << i) for i in range(k)]
-    else:
-        r, holds = len(reps), [bytes(a >> k - 1 - i & 1 for a in reps) for i in range(k)]
+        return _code_rows(n, k, 0, 1 << k * n)
+    r = len(reps)
+    holds = [bytes(a >> k - 1 - i & 1 for a in reps) for i in range(k)]  # byte d: variable i under reps[d]
     return tuple(tuple(_repeat(_spread(h, 0, r ** (n - 1 - w)), r ** (n - w), r ** w) for w in range(n)) for h in holds)
 
 
-def _valuation(n: int, k: int, reps: tuple[int, ...] | None, hits: int) -> list[int]:
+def _valuation(rows: tuple[tuple[int, ...], ...], hits: int) -> list[int]:
     """The variables' world masks under the least canonical code among the
-    valuations of `_valuation_rows(n, k, reps)` whose bits `hits` sets."""
-    rows = _valuation_rows(n, k, reps)
+    valuations of `rows` whose bits `hits` sets."""
     for var in rows:  # the code's bits from the top, each kept 0 where a valuation that hits has it 0
         for x in var:
             hits = hits & ~x or hits
@@ -591,8 +585,7 @@ def _representatives(program: Program, roots: Sequence[int], k: int) -> tuple[in
     if 1 << k > _PAIRS:
         return None
     full = (1 << (1 << k)) - 1  # bit a of a slot's int: its truth under assignment a
-    # variable i, bit k - 1 - i of an assignment: false under s assignments, then true under s, and so on
-    variables = [((1 << s) - 1 << s) * (full // ((1 << 2 * s) - 1)) for s in (1 << k - 1 - i for i in range(k))]
+    variables = [_stripes(k - 1 - i, k) for i in range(k)]  # variable i: bit k - 1 - i of an assignment
     vals = _run(program, (0, 0, *variables), lambda x: 0, full)
     propositional: list[bool] = []
     maximal = set(roots)
@@ -656,9 +649,9 @@ def _int_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: i
     (relation, mask, variables' world masks), or None, evaluated on Python
     ints: the whole size at once, one int a slot, its leaves those of
     `_frame_leaves` and `_variable_planes` for the `nvals` valuations of
-    `reps`, all 2^k assignments a world without them.  The first hit frame
-    holds the lowest set bit, and `_valuation` decodes the valuation from
-    the bits that hit there, as the product's order is not canonical."""
+    `reps`, every code without them.  The first hit frame holds the lowest
+    set bit, and `_valuation` decodes the valuation from the bits that hit
+    there, as a table's product order is not canonical."""
     width, norm, edges = _frame_leaves(n, rows, normals, nvals)
     variables = _variable_planes(n, k, reps, len(normals))
     size = n * width
@@ -686,20 +679,24 @@ def _int_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: i
         return None
     pairs = one(mask)
     f = ((pairs & -pairs).bit_length() - 1) // nvals  # the first frame with a hit, in canonical order
-    return [row[f] for row in rows], normals[f], _valuation(n, k, reps, pairs >> f * nvals & (1 << nvals) - 1)
+    hits = pairs >> f * nvals & (1 << nvals) - 1
+    return [row[f] for row in rows], normals[f], _valuation(_valuation_rows(n, k, reps), hits)
 
 
-def _array_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: int, rows: np.ndarray,
-               normals: np.ndarray, reps: tuple[int, ...] | None, nvals: int) -> tuple | None:
+def _array_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k: int, rows: tuple[bytes, ...],
+               normals: bytes, reps: tuple[int, ...] | None, nvals: int) -> tuple | None:
     """The first hit as `_int_hit` gives it, evaluated on numpy chunks of
-    consecutive frames and valuations as `_geometry` sizes them: the `_table`
-    of `reps`, whose padded size holds all `nvals` valuations at once, or
-    without them ranges of every code from `_planes`."""
-    table, size = (None, nvals) if reps is None else _table(n, k, reps)
+    consecutive frames and valuations as `_geometry` sizes them, on arrays
+    viewing the frame list's bytes: the `nvals` valuations zero-padded to a
+    power of two up to 64, else to whole 64-bit words, and read from
+    `_planes`, the table of `reps` at once, or without it every code in
+    ranges.  `_valuation` decodes the first hit frame's words."""
+    size = 1 << (nvals - 1).bit_length() if nvals <= 64 else -(-nvals // 64) * 64
     vstep, fstep, used, word = _geometry(len(program), n, size)
     words = vstep // used
     full = word.type((1 << used) - 1)
-    bit = np.arange(n, dtype=rows.dtype)[:, None]
+    rows, normals = np.frombuffer(b"".join(rows), np.uint8).reshape(n, -1), np.frombuffer(normals, np.uint8)
+    bit = np.arange(n, dtype=np.uint8)[:, None]
 
     def some(x: np.ndarray) -> np.ndarray:  # the world planes ORed, broadcast to every world
         return np.bitwise_or.reduce(x, axis=0, keepdims=True)
@@ -712,18 +709,14 @@ def _array_hit(program: Program, roots: Sequence[int], hit: Callable, n: int, k:
         def ex(x: np.ndarray) -> np.ndarray:  # the successor words, masked by the operand, ORed
             return np.bitwise_or.reduce(succ & x, axis=1)
 
-        for lo in range(0, nvals, vstep):
-            planes = _planes(n, k, lo, lo + vstep) if table is None else table
+        for lo in range(0, size, vstep):  # several ranges only for a frame alone in its chunk, in canonical order
+            valuations, planes = _planes(n, k, reps, lo, vstep)
             vals = _run(program, (full ^ full, norm, *planes), ex, full)
             mask = hit(norm, full, some, *(vals[r] for r in roots))
             if mask.any():
                 pairs = some(np.broadcast_to(mask, (n, nm.size, words)))[0]
-                f, t = map(int, np.unravel_index(np.flatnonzero(pairs)[0], pairs.shape))
-                if table is not None:  # a padded bit is valuation 0, which hits wherever it does
-                    return fr[:, f], nm[f], _valuation(n, k, reps, int.from_bytes(pairs[f].tobytes(), "little"))
-                bits = int(pairs[f, t])
-                code = lo + t * used + (bits & -bits).bit_length() - 1
-                return fr[:, f], nm[f], [_mask(code >> n * (k - 1 - i) & (1 << n) - 1, n) for i in range(k)]
+                f = int(np.flatnonzero(pairs)[0]) // words
+                return fr[:, f], nm[f], _valuation(valuations, int.from_bytes(pairs[f].tobytes(), "little"))
     return None
 
 
@@ -746,13 +739,14 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     `_frames`, read once per n (see the module docstring).
     The valuations are all 2^(k*n), or the shorter table of the formulas'
     propositional types, computed at the first n with more than 64
-    valuations a frame and read wherever it has at most `_PAIRS`: on ints
-    both in the product order of `_valuation_rows`, and on numpy the table
-    zero-padded by `_table`, or every code in ranges packed by `_planes`.
-    The witness valuation is decoded at the hit, its world taken from
-    re-verification.  A size past k*n = 64 must read the table, as the
-    plain scan's codes stop there; the table grows with n, so where there
-    is none at `max_n` the search is refused with `ValueError` at once."""
+    valuations a frame and read wherever it has at most `_PAIRS`, both
+    laid out by `_valuation_rows` or, on numpy, `_planes`.  The witness
+    valuation is decoded at the hit, its world taken from re-verification.
+    A size past k*n = 64 must read the table: that bound is stated on the
+    work, as a plain scan past it walks more than 2^64 valuations a frame,
+    not on the layout, which holds any k*n.  The table grows with n, so
+    where there is none at `max_n` the search is refused with `ValueError`
+    at once."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     formulas, program, roots, names = _compiled_program(formulas, desugared)
@@ -770,11 +764,9 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
             reps = _representatives(program, roots, k)
         types = reps if reps is not None and len(reps) ** n <= _PAIRS else None
         nvals = 1 << (k * n) if types is None else len(types) ** n
-        native = n <= _INT_TABLES  # the form the size's table is built in
-        frames = _frames(n, fc, all_points, native)
-        if (ints := n * len(frames[1]) * nvals <= _INT_BITS) != native:
-            frames = _frames(n, fc, all_points, ints)
-        found = (_int_hit if ints else _array_hit)(program, roots, hit, n, k, *frames, types, nvals)
+        frames = _frames(n, fc, all_points)
+        found = (_int_hit if n * len(frames[1]) * nvals <= _INT_BITS else _array_hit)(
+            program, roots, hit, n, k, *frames, types, nvals)
         if found is not None:
             rel, nm, valuation = found
             frame = Frame(n, tuple(int(r) for r in rel), int(nm))

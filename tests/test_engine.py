@@ -12,6 +12,7 @@ the engine returns the same.
 """
 
 import itertools
+import random
 import time
 import tracemalloc
 from dataclasses import asdict, replace
@@ -28,6 +29,7 @@ from superstrict.search import (
     _INT_BITS,
     _INT_TABLES,
     _PAIRS,
+    _code_rows,
     _compile,
     _first_hit,
     _frame_block,
@@ -42,7 +44,6 @@ from superstrict.search import (
     _relabellings,
     _representatives,
     _reversal,
-    _table,
     definability_probe,
     enumerate_frames,
     find_countermodel,
@@ -222,8 +223,10 @@ def padded(count):
 
 def table_codes(n, k, reps):
     """The canonical codes, as Python ints, of the valuations whose bit
-    planes `_table` packs, in table order: `product_codes`, then zeros."""
-    planes, size = _table(n, k, reps)
+    planes `_planes` packs for the type table `reps` padded as numpy reads
+    it, in table order: `product_codes`, then zeros."""
+    size = padded(len(reps) ** n)
+    planes = _planes(n, k, reps, 0, size)[1]
     bits = np.array([np.unpackbits(p.view(np.uint8), axis=-1, bitorder="little")[:, 0, :size] for p in planes])
     rows = np.packbits(bits.reshape(k * n, size).T, axis=1)  # bit i*n + w from the top: variable i at world w
     return [int.from_bytes(row.tobytes(), "big") >> -(k * n) % 8 for row in rows]
@@ -286,12 +289,19 @@ def test_witness_in_the_padded_last_word():
 
 
 def assert_agrees_on_numpy(f, fc, max_n):
-    """Every search of `f` agrees with the oracle where each size runs on numpy chunks."""
+    """Every search of `f` agrees with the oracle where each size runs on
+    numpy chunks, whose planes hold a type table padded to whole words, or
+    every code in ranges of at most `_PAIRS`."""
     with pytest.MonkeyPatch.context() as mp:
         switch_off(mp, "ints")
         calls = forms_of_run(mp)
+        packed, planes = [], search._planes
+        mp.setattr(search, "_planes", lambda *args: packed.append(args) or planes(*args))
         assert_all_searches_agree(f, parse("dia top"), fc, max_n)
     assert {form for _, form in calls} == {"array"}
+    for n, k, reps, lo, size in packed:
+        nvals = 1 << k * n if reps is None else len(reps) ** n
+        assert size == (min(nvals, _PAIRS) if reps is None else padded(nvals)) and lo % size == 0
 
 
 def test_witness_at_index_zero_of_a_padded_table():
@@ -384,7 +394,7 @@ def test_types_beyond_64_valuation_bits():
 
 
 # 33 variables: 2^33 assignments of a world, too many for types, so n = 2
-# would take the plain scan at 66 valuation bits, past its uint64 codes.
+# would take the plain scan at 66 valuation bits, past its stated bound of 64.
 TAUTOLOGY_33 = parse(" & ".join(f"x{i:02}" for i in range(33)) + " -> x00")
 # 32 variables, no types either: the first countermodel sets x30 and x31 at n = 1.
 PLAIN_32 = parse("x30 & x31 -> " + " | ".join(f"x{i:02}" for i in range(30)))
@@ -446,7 +456,7 @@ def test_witness_beyond_the_first_chunk():
     n, world, mj = key
     assert not eval_json(mj, world, THREE_SUCCESSORS)
     rows, normals = _frames(n, S2_0, False)
-    read = [frame_to_json(Frame(n, tuple(rows[:, i].tolist()), int(normals[i]))) for i in range(normals.size)]
+    read = [frame_to_json(Frame(n, tuple(row[i] for row in rows), normals[i])) for i in range(len(normals))]
     assert read.index({x: mj[x] for x in ("worlds", "rel", "normals")}) >= 2 * fstep
 
 
@@ -466,8 +476,8 @@ def test_valuation_ranges_at_36_bits_decode_without_the_whole_axis():
     last = (1 << (k * n)) - _PAIRS
     tracemalloc.start()
     try:
-        first_planes = _planes(n, k, 0, _PAIRS)
-        last_planes = _planes(n, k, last, last + _PAIRS)
+        first_planes = _planes(n, k, None, 0, _PAIRS)[1]
+        last_planes = _planes(n, k, None, last, _PAIRS)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -481,6 +491,24 @@ def test_valuation_ranges_at_36_bits_decode_without_the_whole_axis():
                 expected = sum(1 << j for j in range(n) if code >> (k * n - 1 - (i * n + j)) & 1)
                 assert sum((int(plane[w, 0, offset // 64]) >> offset % 64 & 1) << w for w in range(n)) == expected
     assert all((plane[:, 0, -1] >> 63 & 1).all() for plane in last_planes)  # the last code: every world
+
+
+@pytest.mark.parametrize("n, k, lo, size", [
+    (1, 0, 0, 1), (2, 0, 0, 1), (1, 1, 0, 2), (2, 1, 0, 4), (1, 3, 0, 8), (2, 3, 0, 64),
+    (4, 4, 1 << 15, 1 << 15),  # the second range of 2^16 codes
+    (1, 17, 0, 1 << 17),  # one world's 2^17 assignments as the int plain scan reads them
+    (5, 15, (1 << 75) - (1 << 15), 1 << 15),  # the last range of 2^75 codes, past 64-bit words
+], ids=str)
+def test_code_rows_hold_the_bits_of_canonical_codes(n, k, lo, size):
+    rows = _code_rows(n, k, lo, size)
+    assert len(rows) == k and all(len(var) == n and all(0 <= x < 1 << size for x in var) for var in rows)
+    rng = random.Random(size)
+    offsets = range(size) if size <= 64 else {0, 1, 2, 3, size // 2 - 1, size // 2, size - 2, size - 1,
+                                              *rng.sample(range(size), 200)}
+    for j in offsets:  # bit j of row (i, w): variable i at world w under code lo + j, canonical bit i * n + w
+        code = lo + j
+        assert [[x >> j & 1 for x in var] for var in rows] == \
+            [[code >> k * n - 1 - (i * n + w) & 1 for w in range(n)] for i in range(k)]
 
 
 # Word shapes the plain scan picks: n worlds, k variables, so 2^(k*n) valuations
@@ -513,6 +541,7 @@ def test_every_word_shape_agrees_with_oracle(n, k, true, used, t, j):
     # fails only at a normal world with a non-normal successor
     f = parse(f"{guard} -> {succ}" if n == 1 else f"{guard} -> ({succ} | box box top)")
     assert_all_searches_agree(f, parse("dia top"), S2_0, n)
+    assert_agrees_on_numpy(f, S2_0, n)
     size, world, mj = countermodel_key(f, S2_0, n)
     vstep = min(1 << k * n, _PAIRS)
     code = valuation_code(mj)
@@ -520,7 +549,7 @@ def test_every_word_shape_agrees_with_oracle(n, k, true, used, t, j):
     assert min(vstep, 64) == used and divmod(code % vstep, used) == (t, j)
     assert code // vstep == (1 if k * n > 15 else 0)
     if k:
-        plane = _planes(n, k, code - code % vstep, code - code % vstep + vstep)[0]
+        plane = _planes(n, k, None, code - code % vstep, vstep)[1][0]
         assert plane.shape == (n, 1, vstep // used) and plane.dtype.itemsize == max(used // 8, 1)
 
 
@@ -587,7 +616,7 @@ def test_several_relations_by_all_masks():
     assert chunk_geometry([f], 2) == 22795  # 23 slots of 2 worlds x 1 byte a frame
     assert chunk_geometry([g, desugar(g)], 2) == 19418
     # every frame of the size in one chunk: 15 of s2_0, 16 with all points
-    assert _frames(2, S2_0, False)[1].size <= 22795 and _frames(2, S2_0, True)[1].size <= 19418
+    assert len(_frames(2, S2_0, False)[1]) <= 22795 and len(_frames(2, S2_0, True)[1]) <= 19418
     # relation 2 (1 sees 0) fails `box dia top` only when both worlds are
     # normal, its last frame; relation 3 (1 sees 0 and itself), next in the
     # same chunk, fails the disjunction at world 1 in its first frame
@@ -618,7 +647,7 @@ def test_one_relation_split_into_mask_groups():
     # one splits.
     f, (premises, conclusion), g = STAR_F, STAR_RULE, STAR_G
     relations = search._frame_table(4, STAR).shape[1]  # the table the search reads
-    assert _frames(4, STAR, False)[1].size == relations * 15 and _frames(4, STAR, True)[1].size == relations * 16
+    assert len(_frames(4, STAR, False)[1]) == relations * 15 and len(_frames(4, STAR, True)[1]) == relations * 16
     assert chunk_geometry([f], 4) == 15
     assert chunk_geometry([g, desugar(g)], 4) == 8
     with pytest.MonkeyPatch.context() as mp:
@@ -749,10 +778,14 @@ def test_frame_table_is_built_once_per_size_and_class():
 
 def test_cached_arrays_are_read_only():
     # every later search reads them: a write into one would change its masks or decodes
-    table = _table(4, 3, reps_of(CATALOG_BY_NAME["ssi_transitivity"].formula))
-    arrays = [_reversal(3), *_relabellings(3), _frame_table(3, S2_0), *_frames(3, S2_0, False), *_frames(4, S2_0, False),
-              *table[0], *_planes(3, 2, 0, 64)]
+    reps = reps_of(CATALOG_BY_NAME["ssi_transitivity"].formula)
+    table = _planes(4, 3, reps, 0, padded(len(reps) ** 4))[1]
+    arrays = [_reversal(3), *_relabellings(3), _frame_table(3, S2_0), _frame_table(4, S2_0), *table,
+              *_planes(3, 2, None, 0, 64)[1]]
     assert not any(a.flags.writeable for a in arrays)
+    # the frame lists, on ints and numpy alike, are bytes, which no reader can write into
+    lists = [_frames(3, S2_0, False), _frames(4, S2_0, False)]
+    assert all(type(x) is bytes for rows, normals in lists for x in (*rows, normals))
 
 
 def test_enumerate_frames_decodes_as_it_yields():
@@ -828,10 +861,10 @@ FRAMES_READ = {  # at n = 1..4, (relations x masks where it differs)
 @pytest.mark.parametrize("class_name", sorted(FRAMES_READ))
 def test_search_reads_frames_with_least_idle_rows(class_name):
     fc = NAMED_CLASSES[class_name]
-    assert tuple(_frames(n, fc, False)[1].size for n in range(1, 5)) == FRAMES_READ[class_name]
+    assert tuple(len(_frames(n, fc, False)[1]) for n in range(1, 5)) == FRAMES_READ[class_name]
     for n in range(1, 4):
         rows, normals = _frames(n, fc, True)
-        frames = [Frame(n, tuple(rows[:, i].tolist()), int(normals[i])) for i in range(normals.size)]
+        frames = [Frame(n, tuple(row[i] for row in rows), normals[i]) for i in range(len(normals))]
         # the canonical code: b(0,0) .. b(n-1,n-1) m(0) .. m(n-1), big-endian
         bits = [[fr.rel[i] >> j & 1 for i in range(n) for j in range(n)] + [fr.normals >> j & 1 for j in range(n)]
                 for fr in frames]
@@ -853,8 +886,8 @@ def test_idle_rows_are_kept_where_seriality_symmetry_or_euclideanness_may_fail(f
         for all_points in (False, True):
             table, masks = _frame_table(n, replace(fc, all_normal=False)), _normals(n, fc, all_points)
             rows, normals = _frames(n, fc, all_points)
-            assert np.array_equal(rows, np.repeat(table, len(masks), axis=1))
-            assert np.array_equal(normals, np.tile(masks, table.shape[1]))
+            assert rows == tuple(row.tobytes() for row in np.repeat(table, len(masks), axis=1))
+            assert normals == bytes(masks * table.shape[1])
 
 
 @pytest.mark.parametrize("conditions", [c for c in CONDITION_SETS if _idle_least(FrameClass(**c))], ids=condition_id)
@@ -876,12 +909,12 @@ def test_frame_list_takes_no_index_arrays():
     _frame_table(4, fc)
     tracemalloc.start()
     try:
-        rows, normals = search._cut_frames.__wrapped__(4, fc, False, _idle_least(fc), _frame_table, False)
+        rows, normals = search._cut_frames.__wrapped__(4, fc, False, _idle_least(fc), _frame_table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert normals.size == 35100
-    assert peak < 2 * (rows.nbytes + normals.nbytes)
+    assert len(normals) == 35100
+    assert peak < 2 * (sum(map(len, rows)) + len(normals))
 
 
 def test_each_frame_switch_reaches_a_warm_scan():
@@ -893,7 +926,7 @@ def test_each_frame_switch_reaches_a_warm_scan():
             read, frames = {}, search._frames
             mp.setattr(search, "_frames", lambda n, *args: read.setdefault(n, frames(n, *args)))
             assert rule_probe_witness([parse("p |> q"), parse("p")], parse("q"), S2, 4) is None
-        return read[4][1].size
+        return len(read[4][1])
 
     assert read_at_four() == 377
     assert read_at_four("idle") == 3270  # 218 relations x 15 masks
@@ -932,8 +965,9 @@ def test_orbit_least_against_every_permutation():
 
 
 # Up to `_INT_TABLES` worlds the relation tables and frame lists are built on
-# Python ints, and above it by numpy, the form picked by n alone.  The two
-# builders must agree wherever both run, and with the oracle's frames.
+# Python ints, and above it by numpy, the form picked by n alone, into one
+# layout of bytes.  The two builders must agree wherever both run, byte for
+# byte, and with the oracle's frames.
 @pytest.mark.parametrize("conditions", CONDITION_SETS, ids=condition_id)
 def test_int_tables_and_frame_lists_match_numpy_and_the_oracle(conditions, monkeypatch):
     for n in range(1, _INT_TABLES + 1):
@@ -947,7 +981,7 @@ def test_int_tables_and_frame_lists_match_numpy_and_the_oracle(conditions, monke
         for all_normal, all_points in itertools.product((False, True), repeat=2):
             fc = replace(relational, all_normal=all_normal)
             args = (n, fc, all_points, _idle_least(fc))
-            rows, normals = search._cut_frames.__wrapped__(*args, _int_frame_table, True)
+            rows, normals = search._cut_frames.__wrapped__(*args, _int_frame_table)
             frames = [(tuple(row[f] for row in rows), normals[f]) for f in range(len(normals))]
             # the oracle's frames, canonical order, of orbit-least relations, least idle rows where cut
             naive = []
@@ -959,9 +993,8 @@ def test_int_tables_and_frame_lists_match_numpy_and_the_oracle(conditions, monke
             assert frames == naive
             with monkeypatch.context() as mp:
                 mp.setattr(search, "_INT_TABLES", 0)  # numpy's cut of numpy's table
-                arrays = search._cut_frames.__wrapped__(*args, _frame_table, False)
-            assert (tuple(map(bytes, arrays[0].tolist())), bytes(arrays[1].tolist())) == (rows, normals)
-            assert all(np.array_equal(a, b) for a, b in zip(_frames(n, fc, all_points), arrays))
+                assert search._cut_frames.__wrapped__(*args, _frame_table) == (rows, normals)
+            assert _frames(n, fc, all_points) == (rows, normals)
 
 
 def test_witnesses_at_four_worlds_do_not_depend_on_the_orbit_reduction():
@@ -1082,7 +1115,7 @@ def test_int_witnesses_at_the_ends_of_the_planes(monkeypatch):
     key = (2, 1, {"worlds": 2, "rel": [[0, 1], [0, 1]], "normals": [0, 1], "val": {"p": [1]}})
     assert _frame_table(2, S2_0)[:, -1].tolist() == [3, 3] and _normals(2, S2_0, False)[-1] == 3
     rows, normals = _frames(2, S2_0, False)
-    assert normals.size == 15 and rows[:, -1].tolist() == [3, 3] and normals[-1] == 3
+    assert len(normals) == 15 and [row[-1] for row in rows] == [3, 3] and normals[-1] == 3
     assert countermodel_key(f, S2_0, 2) == oracle_countermodel(f, S2_0, 2) == key
     assert probe_key(rule_probe_witness([parse("p -> p")], f, S2_0, 2)) == key
     assert {form for _, form in calls} == {"int"}
