@@ -15,7 +15,7 @@ import functools
 import json
 import sys
 
-from .catalog import run_suite
+from .catalog import json_text, run_suite
 from .proof import DerivationError, ScriptError, SystemId, check, parse_script
 from .search import find_countermodel
 from .semantics import NAMED_CLASSES, holds, model_from_json, model_to_json
@@ -117,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
             case "parse":
                 f = parse(args.formula)
                 if args.json:
-                    print(json.dumps(formula_to_json(f), indent=2, sort_keys=True))
+                    print(json_text(formula_to_json(f)))
                 else:
                     print(pretty(f))
                 return 0
@@ -135,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
                           else f"no countermodel up to n={args.max_n}")
                 else:
                     print(f"countermodel at n={report.frame_size}, world {report.world}")
-                    print(json.dumps(model_to_json(report.model), indent=2, sort_keys=True))
+                    print(json_text(model_to_json(report.model)))
                 return int((report is None) != args.expect_valid)
             case "translate":
                 f = parse(args.formula)
@@ -175,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # the json module's reader
+    except RecursionError:  # `json.load` reading a model, or `json_text` writing a parse tree
         print("error: input nested too deeply", file=sys.stderr)
         return 2
     raise AssertionError("unhandled command")

@@ -31,12 +31,14 @@ f, and one bytes object of normality masks, which numpy views as arrays.
 tuples it searched, the least recently used dropped first.  The key is the
 formulas' ids, not their structure: `hash` walks a formula, at about two
 fifths of the cost of compiling it.  An entry holds its formulas, so no
-other object can take their ids while it is kept.  Only formula objects
-searched before find their program kept, such as the catalog's, which every
-`run_suite` in a process searches again; a formula parsed again is a new
-object and compiles again, so a fresh process that searches each formula
-once, as one command line call does, gains nothing.  A definability probe
-is kept by its one formula, as `desugar` builds a new rewriting each call.
+other object can take their ids while it is kept, and, from the first
+search that reads them, the program's propositional types.  Only formula
+objects searched before find their program kept, such as the catalog's,
+which every `run_suite` in a process searches again; a formula parsed again
+is a new object and compiles again, so a fresh process that searches each
+formula once, as one command line call does, gains nothing.  A definability
+probe is kept by its one formula, as `desugar` builds a new rewriting each
+call.
 
 The program is bit-sliced, one bit plane per world, one bit of a plane per
 (frame, valuation) pair, and a slot takes one of two forms, picked for each
@@ -104,7 +106,7 @@ that are built from bot and variables by conjunction, disjunction and
 implication alone.  Two valuations that give every world the same row of
 truth values for them agree on every slot, at every world, in every frame,
 and so on every hit.  `_representatives` evaluates those slots once per
-search on the 2^k assignments of one world and keeps the smallest
+compiled program on the 2^k assignments of one world and keeps the smallest
 assignment giving each row.  The valuations that give every world such a
 representative form a product over the worlds, and both forms read it in
 one layout, `_valuation_rows`: the product's order, world 0's
@@ -555,20 +557,30 @@ def _compile(formulas: Sequence[Formula]) -> tuple[Program, list[int], tuple[str
     return program, roots, names
 
 
-_compiled: OrderedDict[tuple, tuple] = OrderedDict()  # (ids, desugared) -> (formulas, program, roots, names)
+_compiled: OrderedDict[tuple, list] = OrderedDict()  # (ids, desugared) -> [formulas, program, roots, names, types]
 
 
-def _compiled_program(formulas: Sequence[Formula], desugared: bool) -> tuple:
-    """The formulas, with `desugared` followed by their `desugar`, and their
-    `_compile`, kept by the given formulas' ids (see the module docstring)."""
+def _compiled_program(formulas: Sequence[Formula], desugared: bool) -> list:
+    """The formulas, with `desugared` followed by their `desugar`, their
+    `_compile`, and a slot for `_types`, kept by the given formulas' ids
+    (see the module docstring)."""
     if (entry := _compiled.get(key := (*map(id, formulas), desugared))) is None:
         formulas = (*formulas, *map(desugar, formulas)) if desugared else tuple(formulas)
-        entry = _compiled[key] = (formulas, *_compile(formulas))
+        entry = _compiled[key] = [formulas, *_compile(formulas), ...]
         if len(_compiled) > _COMPILED_MAX:
             _compiled.popitem(last=False)
     else:
         _compiled.move_to_end(key)
     return entry
+
+
+def _types(entry: list) -> tuple[int, ...] | None:
+    """`_representatives` of a `_compiled_program` entry's program, computed
+    at the first call and kept in the entry, so a search that never reads
+    the types does not pay for them, and a repeated one pays once."""
+    if entry[4] is ...:
+        entry[4] = _representatives(entry[1], entry[2], len(entry[3]))
+    return entry[4]
 
 
 def _representatives(program: Program, roots: Sequence[int], k: int) -> tuple[int, ...] | None:
@@ -738,7 +750,7 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     ints, `_int_hit`, else numpy chunks, `_array_hit`, on the frames of
     `_frames`, read once per n (see the module docstring).
     The valuations are all 2^(k*n), or the shorter table of the formulas'
-    propositional types, computed at the first n with more than 64
+    propositional types, `_types`, taken at the first n with more than 64
     valuations a frame and read wherever it has at most `_PAIRS`, both
     laid out by `_valuation_rows` or, on numpy, `_planes`.  The witness
     valuation is decoded at the hit, its world taken from re-verification.
@@ -749,11 +761,12 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
     at once."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    formulas, program, roots, names = _compiled_program(formulas, desugared)
+    entry = _compiled_program(formulas, desugared)
+    formulas, program, roots, names, _ = entry
     if desugared and formulas[1] is formulas[0]:  # one formula, already in the core language
         return None
     k = len(names)
-    if k * max_n > 64 and ((types := _representatives(program, roots, k)) is None or len(types) ** max_n > _PAIRS):
+    if k * max_n > 64 and ((types := _types(entry)) is None or len(types) ** max_n > _PAIRS):
         raise ValueError(f"{k} variables on {max_n} worlds: a scan of every valuation is limited to "
                          "variables x worlds <= 64")
     reps = None
@@ -761,7 +774,7 @@ def _first_hit(formulas: Sequence[Formula], fc: FrameClass, max_n: int, hit: Cal
         # at the first n above 64 valuations a frame, where numpy words are full; on ints,
         # types from n = 1 timed within noise on `run_suite()`
         if k * (n - 1) <= 6 < k * n:
-            reps = _representatives(program, roots, k)
+            reps = _types(entry)
         types = reps if reps is not None and len(reps) ** n <= _PAIRS else None
         nvals = 1 << (k * n) if types is None else len(types) ** n
         frames = _frames(n, fc, all_points)

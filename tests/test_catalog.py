@@ -5,8 +5,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from superstrict.catalog import CATALOG, CATALOG_BY_NAME, Expectation, run_suite, two_point_frame
+from superstrict.catalog import CATALOG, CATALOG_BY_NAME, Expectation, json_text, run_suite, two_point_frame
 from superstrict.semantics import NAMED_CLASSES, Frame, satisfies_class
 from superstrict.syntax import parse
 
@@ -106,3 +108,27 @@ class TestSuiteReportForms:
         assert any(line.startswith("box_box_top") and "MISMATCH" in line for line in lines)
         assert lines[-1] == "mismatches: 1"
         assert len(lines) == len(CATALOG) + 4
+
+
+# Strings weighted to what an escape can get wrong: quote, backslash, control
+# characters, DEL, non-ASCII, a line separator, astral characters and lone
+# surrogates.
+_TEXTS = st.text(st.sampled_from('"\\/\x00\x1f\b\t\n\x7f\xe9\u2028\ud800\U0001f600a') | st.characters(exclude_categories=()),
+                 max_size=8)
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-(2**70), 2**70)
+            | st.sampled_from([0, 1, -1, 2**64, -(2**64) - 1]) | _TEXTS)
+_VALUES = st.recursive(_SCALARS, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_TEXTS, kids, max_size=4),
+                       max_leaves=24)
+
+
+@given(_VALUES)
+@example([True, 1, False, 0, None, -0])
+@example({"": [], "a": {}, "b": [[], {}, [[{}]]], "\u00e9": {"\"": "\\"}})
+def test_json_text_is_json_dumps(data):
+    assert json_text(data) == json.dumps(data, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, (1,), {1: "a"}, {"a": {"b": [set()]}}])
+def test_json_text_writes_no_other_type(value):
+    with pytest.raises(TypeError):
+        json_text(value)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superstrict import cli, search
+from superstrict.catalog import run_suite
 from superstrict.cli import PRINT_LIMIT, main
 from superstrict.proof import TAUT_LIMIT, SystemId
 from superstrict.semantics import NAMED_CLASSES, model_to_json
@@ -20,6 +21,7 @@ from superstrict.syntax import desugar, fold, formula_to_json, parse, pretty, to
 from strategies import formulas, models
 
 DATA = Path(__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -423,3 +425,28 @@ def test_random_calls_exit_0_1_or_2(fuzz_dir, command, data):
     argv = [command, *(str(files.get(a, a)) for a in data.draw(_ARGS[command]))]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 1, 2)
+
+
+# `json.dumps(..., indent=2, sort_keys=True)` is the reference of every JSON print.
+def dumps(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def test_parse_json_prints_what_json_dumps_prints(capsys):
+    corpus = json.loads((GOLDEN / "parse_corpus.json").read_text(encoding="utf-8"))
+    parsed = [entry for entry in corpus if "json" in entry]
+    for entry in parsed:
+        assert main(["parse", "--json", "--formula", entry["input"]]) == 0
+        assert capsys.readouterr().out == dumps(entry["json"])
+    assert len(parsed) == 359
+
+
+def test_witness_json_is_what_json_dumps_prints(capsys):
+    witnessed = [r for r in run_suite().results if r.report is not None]
+    for r in witnessed:
+        entry, report = r.entry, r.report
+        assert main(["countermodel", "--formula", entry.text, "--class", entry.class_name,
+                     "--max-n", str(entry.bound)]) == 0
+        assert capsys.readouterr().out == (f"countermodel at n={report.frame_size}, world {report.world}\n"
+                                           + dumps(model_to_json(report.model)))
+    assert len(witnessed) == 20

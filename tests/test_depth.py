@@ -5,8 +5,12 @@ printer, `formula_from_json` and `==` keep their own stacks too, and
 `replace_at` walks each path in a loop.  The printer's memory is linear in
 the depth."""
 
+import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -149,3 +153,39 @@ def test_printer_memory_is_linear(text):
     finally:
         tracemalloc.stop()
     assert peak < 32 << 20
+
+
+# In a fresh process, with the command line's stack: `parse --json` of a
+# `box` chain `sys.argv[1]` deep, as `main` prints it and as `json.dumps`
+# writes it (or the error either raises); one JSON line.
+PARSE_JSON = """
+import contextlib, io, json, sys
+from superstrict.cli import main
+from superstrict.syntax import formula_to_json, parse
+text = "box " * int(sys.argv[1]) + "p"
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(["parse", "--json", "--formula", text])
+try:
+    reference = json.dumps(formula_to_json(parse(text)), indent=2, sort_keys=True) + "\\n"
+except RecursionError:
+    reference = "RecursionError"
+print(json.dumps([code, out.getvalue(), err.getvalue(), reference]))
+"""
+
+
+def parse_json(depth):
+    run = subprocess.run([sys.executable, "-c", PARSE_JSON, str(depth)], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")})
+    return json.loads(run.stdout)
+
+
+def test_parse_json_writes_as_deep_as_json_dumps():
+    code, out, err, reference = parse_json(490)
+    assert (code, err) == (0, "") and out == reference
+    assert out.count("\n") == 5 * 490 + 6  # a box: "{", "args": [, "],", "op", "}"; then the variable's 6
+
+
+def test_parse_json_refuses_what_it_cannot_write():
+    # the parser reads any depth; the writer recurses once a container, as `json.dumps` does
+    assert parse_json(DEPTH) == [2, "", "error: input nested too deeply\n", "RecursionError"]

@@ -15,6 +15,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from collections import OrderedDict
 from dataclasses import asdict, replace
 from functools import cache, lru_cache, partial
 
@@ -140,7 +141,7 @@ def full_int_table(n, fc):
 # frame whatever the rows of its non-normal worlds, one frame a chunk, and
 # numpy chunks at every size.
 SWITCHES = {
-    "types": {"_representatives": lambda *args: None},
+    "types": {"_types": lambda entry: None},
     "orbits": {"_frame_table": full_table, "_int_frame_table": full_int_table},
     "idle": {"_idle_least": lambda fc: False},
     "chunks": {"_CHUNK_BYTES": 1},
@@ -1221,10 +1222,24 @@ def test_the_types_switch_reaches_a_cached_program():
         compiled = count_compiles(mp)
         switch_off(mp, "types")
         reached = []
-        off = search._representatives
-        mp.setattr(search, "_representatives", lambda *args: reached.append(args) or off(*args))
+        off = search._types
+        mp.setattr(search, "_types", lambda *args: reached.append(args) or off(*args))
         assert countermodel_key(entry.formula, entry.frame_class, 3) == key
     assert reached and not compiled
+
+
+def test_a_repeated_suite_computes_each_programs_types_once(monkeypatch):
+    monkeypatch.setattr(search, "_compiled", OrderedDict())
+    computed = []
+    representatives_ = search._representatives
+    monkeypatch.setattr(search, "_representatives",
+                        lambda program, *args: computed.append(program) or representatives_(program, *args))
+    report = run_suite().to_json()
+    # the three-variable entries searched to n = 3, past 64 valuations a frame
+    programs = {id(search._compiled[(id(e.formula), False)][1]): e.name for e in CATALOG}
+    assert sorted(programs[id(p)] for p in computed) == ["guarded_ax4", "guarded_ax5", "s3_chained_transitivity",
+                                                         "ssi_transitivity"]
+    assert run_suite().to_json() == report and len(computed) == 4
 
 
 def test_a_search_never_hashes_a_formula(monkeypatch):

@@ -158,13 +158,17 @@ def test_the_default_suite_and_small_searches_never_load_numpy(tmp_path):
     assert (tmp_path / "suite.json").read_text(encoding="utf-8") == (ROOT / "tests" / "golden" / "suite_max2.json").read_text(encoding="utf-8")
 
 
-# The modules loaded by `import superstrict`, then by reading one name; one JSON line.
+# The modules loaded by `import superstrict`, then by reading one name, then
+# by importing the search; one JSON line, `json` imported only to write it.
 LAZY_PACKAGE = """
-import json, sys
+import sys
 import superstrict
 loaded = {"import superstrict": sorted(sys.modules)}
 superstrict.parse
 loaded["superstrict.parse"] = sorted(sys.modules)
+import superstrict.search
+loaded["import superstrict.search"] = sorted(sys.modules)
+import json
 print(json.dumps(loaded))
 """
 
@@ -177,6 +181,10 @@ def test_the_package_loads_no_submodule_until_a_name_is_read(tmp_path):
     assert sorted((heavy | {"dataclasses", "numpy"}) & set(out["import superstrict"])) == []
     assert [m for m in out["superstrict.parse"] if m.startswith("superstrict")] == ["superstrict", "superstrict.syntax"]
     assert "numpy" not in out["superstrict.parse"]
+    # the search and the modules it loads write no JSON, and `json` takes milliseconds to import
+    searching = [m for m in out["import superstrict.search"] if m.startswith("superstrict")]
+    assert searching == ["superstrict", "superstrict.search", "superstrict.semantics", "superstrict.syntax"]
+    assert not {"json", "numpy"} & set(out["import superstrict.search"])
 
 
 def test_numpy_attributes_are_kept_on_the_proxy():
