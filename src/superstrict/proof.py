@@ -257,62 +257,50 @@ def _check_rule(system: SystemId, spec: _SystemSpec, d: Derivation, k: int, step
         raise DerivationError(k, f"rule {rule!r} is not available in {system.value}")
     if len(just.premises) != (count := _PREMISES[rule]):
         raise DerivationError(k, f"rule {rule!r} takes {count} premise{'s' * (count > 1)}, got {len(just.premises)}")
+    first = _premise(d, k, just.premises[0])
     match rule:
         case "us":
-            (i,) = just.premises
-            base = _premise(d, k, i)
             if just.substitution is None:
                 raise DerivationError(k, "uniform substitution needs a substitution")
-            if substitute_many(base, just.substitution) != step.formula:
-                raise DerivationError(k, "formula is not the stated substitution instance of the premise")
+            derived = substitute_many(first, just.substitution)
+            wrong = "formula is not the stated substitution instance of the premise"
         case "sse":
-            i, j = just.premises
-            base = _premise(d, k, i)
-            sides = match_schema(_EQUIVALENCE, _premise(d, k, j))
+            sides = match_schema(_EQUIVALENCE, _premise(d, k, just.premises[1]))
             if sides is None:
                 raise DerivationError(k, "second premise is not a conjunction of two converse strict implications")
             if not just.paths:
                 raise DerivationError(k, "substitution of strict equivalents needs occurrence paths")
             b, c = sides["b"], sides["c"]
             try:
-                occ = subformula_at(base, just.paths[0])
+                occ = subformula_at(first, just.paths[0])
                 if occ != b and occ != c:
                     raise DerivationError(k, "addressed occurrence matches neither side of the equivalence")
-                rewritten = replace_at(base, just.paths, c if occ == b else b)
+                derived = replace_at(first, just.paths, c if occ == b else b)
             except ValueError as exc:
                 raise DerivationError(k, str(exc)) from exc
-            if rewritten != step.formula:
-                raise DerivationError(k, "formula is not the premise with the addressed occurrences swapped")
+            wrong = "formula is not the premise with the addressed occurrences swapped"
         case "adj":
-            i, j = just.premises
-            if And(_premise(d, k, i), _premise(d, k, j)) != step.formula:
-                raise DerivationError(k, "formula is not the conjunction of the two premises")
+            derived = And(first, _premise(d, k, just.premises[1]))
+            wrong = "formula is not the conjunction of the two premises"
         case "mp" | "sdet":
-            i, j = just.premises
             node, kind = (Imp, "") if rule == "mp" else (Strict, "strict ")
-            imp = _premise(d, k, i)
-            if not isinstance(imp, node):
+            if not isinstance(first, node):
                 raise DerivationError(k, f"first premise is not a {kind or 'material '}implication")
-            if imp.left != _premise(d, k, j):
+            if first.left != _premise(d, k, just.premises[1]):
                 raise DerivationError(k, f"second premise does not match the {kind}antecedent")
-            if imp.right != step.formula:
-                raise DerivationError(k, f"formula does not match the {kind}consequent")
+            derived, wrong = first.right, f"formula does not match the {kind}consequent"
         case "br":
-            (i,) = just.premises
-            prem = _premise(d, k, i)
-            match prem:
+            match first:
                 case Box(Imp(a, b)):
-                    if step.formula != Box(Imp(Box(a), Box(b))):
-                        raise DerivationError(k, "formula is not the boxed implication of boxes")
+                    derived, wrong = Box(Imp(Box(a), Box(b))), "formula is not the boxed implication of boxes"
                 case _:
                     raise DerivationError(k, "premise is not a boxed material implication")
         case "nrest":
-            (i,) = just.premises
-            prem = _premise(d, k, i)
-            if not taut(prem):
+            if not taut(first):
                 raise DerivationError(k, "restricted necessitation needs a tautological premise")
-            if step.formula != Box(prem):
-                raise DerivationError(k, "formula is not the boxed premise")
+            derived, wrong = Box(first), "formula is not the boxed premise"
+    if derived != step.formula:
+        raise DerivationError(k, wrong)
 
 
 def check(system: SystemId, d: Derivation) -> None:

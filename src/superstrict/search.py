@@ -231,25 +231,24 @@ def _reversal(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _relabellings(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _relabellings(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """The n! permutations of the worlds, the identity first, as two tables:
-    `src[p, w]`, the world that permutation p sends to w, and `image[p, s]`,
-    the n-bit group, world 0 the top bit, of the image of successor mask s,
-    in the dtype of an n*n-bit relation code."""
-    perms = np.array(list(itertools.permutations(range(n))))  # perms[p, i]: where p sends i
-    bits = np.arange(1 << n)[:, None] >> np.arange(n) & 1
-    image = _reversal(n)[(bits[None] << perms[:, None]).sum(axis=2)]
-    return _frozen(np.argsort(perms, axis=1), image.astype(np.min_scalar_type((1 << n * n) - 1)))
+    `src[p][w]`, the world that permutation p sends to w, and `image[p][s]`,
+    the n-bit group, world 0 the top bit, of the image of successor mask s."""
+    perms = list(itertools.permutations(range(n)))  # p[i]: where p sends i
+    src = tuple(tuple(sorted(range(n), key=p.__getitem__)) for p in perms)
+    image = tuple(tuple(_mask(sum((s >> j & 1) << p[j] for j in range(n)), n) for s in range(1 << n)) for p in perms)
+    return src, image
 
 
-def _orbit_least(rows: np.ndarray) -> np.ndarray:
+def _orbit_least(rows: np.ndarray, src: np.ndarray, image: np.ndarray) -> np.ndarray:
     """The columns, ascending, of the relations in successor rows of shape
     (n, relations) whose code is least among their images under every
-    permutation of the worlds.  The permutations are tried one at a time in
-    `_relabellings` order, each on the relations no earlier one has beaten,
+    permutation of the worlds, given `_relabellings(n)` as arrays in the
+    dtype of an n*n-bit relation code.  The permutations are tried one at a
+    time in that order, each on the relations no earlier one has beaten,
     until none is left."""
     n = len(rows)
-    src, image = _relabellings(n)
     shift = (n * np.arange(n - 1, -1, -1)).astype(image.dtype)[:, None]
 
     def codes(p: int, r: np.ndarray) -> np.ndarray:  # the code of each relation's image under p
@@ -282,8 +281,9 @@ def _frame_table(n: int, fc: FrameClass) -> np.ndarray:
     """The successor rows of `fc`'s relations at n that `_orbit_least` keeps,
     one per isomorphism class (see the module docstring), tested a block of
     `_frame_block` at a time and joined in order."""
+    src, image = (np.array(t, dtype=np.min_scalar_type((1 << n * n) - 1)) for t in _relabellings(n))
     blocks = (_frame_block(n, fc, lo) for lo in range(0, 1 << n * n, _CODES))
-    return _frozen(np.concatenate([rows.take(_orbit_least(rows), axis=1) for rows in blocks], axis=1))[0]
+    return _frozen(np.concatenate([rows.take(_orbit_least(rows, src, image), axis=1) for rows in blocks], axis=1))[0]
 
 
 def _relation(code: int, n: int) -> tuple[int, ...]:
@@ -298,14 +298,12 @@ def _least_relations(n: int) -> tuple[tuple[int, ...], ...]:
     canonical order.  Orderly over all 2^(n*n) codes, so for small n only:
     a code no smaller code has reached is least in its orbit, and reaches
     its images."""
-    perms = list(itertools.permutations(range(n)))
-    # moved[p][s]: the n-bit group, world 0 the top bit, of the image of successor mask s under p
-    moved = [[_mask(sum((s >> j & 1) << p[j] for j in range(n)), n) for s in range(1 << n)] for p in perms]
+    src, image = _relabellings(n)
     reached, least = set(), []
     for code in range(1 << n * n):
         if code not in reached:
             least.append(rel := _relation(code, n))
-            reached.update(sum(m[rel[i]] << n * (n - 1 - p[i]) for i in range(n)) for p, m in zip(perms, moved))
+            reached.update(sum(m[rel[s[w]]] << n * (n - 1 - w) for w in range(n)) for s, m in zip(src, image))
     return tuple(least)
 
 

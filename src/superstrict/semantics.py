@@ -235,16 +235,27 @@ def valid_on_frame(frame: Frame, f: Formula) -> bool:
 # JSON forms
 
 
+def _world_mask(worlds: object, n: int, not_list: str, bad: str, *where: object) -> int:
+    """The mask of a JSON list of worlds; ValueError `not_list` for a non-list, `bad.format(w, *where)` for a bad w."""
+    if not isinstance(worlds, list):
+        raise ValueError(not_list)
+    mask = 0
+    for w in worlds:
+        if type(w) is not int or not 0 <= w < n:  # `type(w) is int` also rejects JSON booleans
+            raise ValueError(bad.format(w, *where))
+        mask |= 1 << w
+    return mask
+
+
 def frame_to_json(frame: Frame) -> dict:
     return {
         "worlds": frame.n,
-        "rel": [sorted(_bits(row)) for row in frame.rel],
-        "normals": sorted(_bits(frame.normals)),
+        "rel": [list(_bits(row)) for row in frame.rel],
+        "normals": list(_bits(frame.normals)),
     }
 
 
 def frame_from_json(data: object) -> Frame:
-    # `type(x) is int` also rejects JSON booleans, which Python counts as ints
     if not isinstance(data, dict):
         raise ValueError("frame JSON must be an object")
     n = data.get("worlds")
@@ -253,40 +264,28 @@ def frame_from_json(data: object) -> Frame:
     rel = data.get("rel")
     if not isinstance(rel, list) or len(rel) != n:
         raise ValueError("'rel' must list the successors of each world")
-    edges = []
-    for i, row in enumerate(rel):
-        if not isinstance(row, list):
-            raise ValueError("'rel' rows must be lists of worlds")
-        for j in row:
-            if type(j) is not int or not 0 <= j < n:
-                raise ValueError(f"successor {j!r} of world {i} out of range")
-            edges.append((i, j))
-    normals = data.get("normals")
-    if not isinstance(normals, list) or any(
-        type(w) is not int or not 0 <= w < n for w in normals
-    ):
-        raise ValueError("'normals' must be a list of worlds")
-    return Frame.from_edges(n, edges, normals)
+    rows = tuple(_world_mask(row, n, "'rel' rows must be lists of worlds", "successor {!r} of world {} out of range", i)
+                 for i, row in enumerate(rel))
+    bad = "'normals' must be a list of worlds"
+    return Frame(n, rows, _world_mask(data.get("normals"), n, bad, bad))
 
 
 def model_to_json(model: Model) -> dict:
     return {
         **frame_to_json(model.frame),
-        "val": {name: sorted(_bits(mask)) for name, mask in sorted(model.valuation.items())},
+        "val": {name: list(_bits(mask)) for name, mask in sorted(model.valuation.items())},
     }
 
 
 def model_from_json(data: object) -> Model:
     frame = frame_from_json(data)
     val = data.get("val", {})
+    bad = "'val' must map variables to lists of worlds"
     if not isinstance(val, dict):
-        raise ValueError("'val' must map variables to lists of worlds")
-    sets: dict[str, list[int]] = {}
+        raise ValueError(bad)
+    masks: dict[str, int] = {}
     for name, worlds in val.items():
-        if not isinstance(name, str) or not isinstance(worlds, list):
-            raise ValueError("'val' must map variables to lists of worlds")
-        for w in worlds:
-            if type(w) is not int or not 0 <= w < frame.n:
-                raise ValueError(f"world {w!r} in extension of {name!r} out of range")
-        sets[name] = worlds
-    return Model.from_sets(frame, sets)
+        if not isinstance(name, str):
+            raise ValueError(bad)
+        masks[name] = _world_mask(worlds, frame.n, bad, "world {!r} in extension of {!r} out of range", name)
+    return Model(frame, masks)

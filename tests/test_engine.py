@@ -781,9 +781,11 @@ def test_cached_arrays_are_read_only():
     # every later search reads them: a write into one would change its masks or decodes
     reps = reps_of(CATALOG_BY_NAME["ssi_transitivity"].formula)
     table = _planes(4, 3, reps, 0, padded(len(reps) ** 4))[1]
-    arrays = [_reversal(3), *_relabellings(3), _frame_table(3, S2_0), _frame_table(4, S2_0), *table,
-              *_planes(3, 2, None, 0, 64)[1]]
+    arrays = [_reversal(3), _frame_table(3, S2_0), _frame_table(4, S2_0), *table, *_planes(3, 2, None, 0, 64)[1]]
     assert not any(a.flags.writeable for a in arrays)
+    # the permutation tables are tuples of tuples of ints, which no reader can write into
+    assert all(type(t) is tuple and all(type(row) is tuple and all(type(x) is int for x in row) for row in t)
+               for t in _relabellings(3))
     # the frame lists, on ints and numpy alike, are bytes, which no reader can write into
     lists = [_frames(3, S2_0, False), _frames(4, S2_0, False)]
     assert all(type(x) is bytes for rows, normals in lists for x in (*rows, normals))
@@ -961,7 +963,8 @@ def test_orbit_least_against_every_permutation():
     for n, fc in ((1, S2_0), (2, S2_0), (3, S2_0), (4, S2), (4, S3)):
         rows = full_table(n, fc)
         least = [i for i, rel in enumerate(full_int_table(n, fc)) if orbit_least(rel)]
-        assert _orbit_least(rows).tolist() == least
+        src, image = _relabellings(n)
+        assert _orbit_least(rows, np.array(src), np.array(image, dtype=np.uint64)).tolist() == least
         assert np.array_equal(_frame_table(n, fc), rows[:, least])  # tested a block at a time
 
 

@@ -296,6 +296,42 @@ def test_sse_errors(formula, app, message):
     assert str(exc.value) == f"error at step 4: {message}"
 
 
+_LEWIS_BASE = (Step(parse("(p & q) => (q & p)"), AxiomInstance("1")),)
+_LEMMON_BASE = (Step(parse("p -> p"), AxiomInstance("pc")), Step(parse("box (p -> p)"), RuleApp("nrest", (1,))))
+
+
+@pytest.mark.parametrize(("system", "base", "formula", "app", "message"), [
+    (SystemId.LEWIS_S2, _LEWIS_BASE, "(q & p) => (p & q)", RuleApp("us", (1,)),
+     "uniform substitution needs a substitution"),
+    (SystemId.LEWIS_S2, _LEWIS_BASE, "(q & p) => (p & q)", RuleApp("us", (1,), substitution={"p": parse("r")}),
+     "formula is not the stated substitution instance of the premise"),
+    (SystemId.LEWIS_S2, _LEWIS_BASE, "(p & q) => (q & p)", RuleApp("adj", (1, 1)),
+     "formula is not the conjunction of the two premises"),
+    (SystemId.LEMMON_S2, _LEMMON_BASE, "box (box p -> box p)", RuleApp("br", (1,)),
+     "premise is not a boxed material implication"),
+    (SystemId.LEMMON_S2, _LEMMON_BASE, "box (p -> p)", RuleApp("br", (2,)),
+     "formula is not the boxed implication of boxes"),
+    (SystemId.LEMMON_S2, _LEMMON_BASE, "box box (p -> p)", RuleApp("nrest", (2,)),
+     "restricted necessitation needs a tautological premise"),
+    (SystemId.LEMMON_S2, _LEMMON_BASE, "box p", RuleApp("nrest", (1,)), "formula is not the boxed premise"),
+    (SystemId.LEMMON_S3, _LEMMON_BASE, "box (box p -> box p)", RuleApp("br", (2,)),
+     "rule 'br' is not available in lemmon-s3"),
+    # the kind of the first premise is checked before the second reference is read
+    (SystemId.LEMMON_S2, _LEMMON_BASE, "p", RuleApp("mp", (2, 9)), "first premise is not a material implication"),
+    # a malformed equivalence is reported before the missing paths
+    (SystemId.LEWIS_S2, _LEWIS_BASE, "(q & p) => (q & p)", RuleApp("sse", (1, 1), paths=()),
+     "second premise is not a conjunction of two converse strict implications"),
+], ids=["us-no-substitution", "us-not-instance", "adj-not-conjunction", "br-not-boxed-implication",
+        "br-not-boxes", "nrest-not-tautology", "nrest-not-boxed", "rule-unavailable",
+        "mp-kind-before-second-premise", "sse-equivalence-before-paths"])
+def test_rule_errors(system, base, formula, app, message):
+    d = Derivation((*base, Step(parse(formula), app)))
+    with pytest.raises(DerivationError) as exc:
+        check(system, d)
+    k = len(d.steps)
+    assert str(exc.value) == f"error at step {k}: {message}"
+
+
 class TestScriptParsing:
     def test_comments_and_blanks(self):
         d = parse_script("# a comment\n\n1. top ; axiom pc\n\n2. box top ; nrest 1\n")

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -282,3 +283,30 @@ class TestJsonForms:
             frame_from_json({"worlds": 2, "rel": [[1], []], "normals": [False]})
         with pytest.raises(ValueError, match="out of range"):
             model_from_json({"worlds": 2, "rel": [[1], []], "normals": [0], "val": {"p": [True]}})
+
+    @pytest.mark.parametrize(("data", "message"), [
+        ([], "frame JSON must be an object"),
+        ({"worlds": 0, "rel": [], "normals": []}, "'worlds' must be a positive integer"),
+        ({"worlds": 2, "rel": [[]], "normals": []}, "'rel' must list the successors of each world"),
+        ({"worlds": 1, "rel": [0], "normals": []}, "'rel' rows must be lists of worlds"),
+        ({"worlds": 2, "rel": [[True], []], "normals": []}, "successor True of world 0 out of range"),
+        ({"worlds": 2, "rel": [[], [2]], "normals": []}, "successor 2 of world 1 out of range"),
+        ({"worlds": 1, "rel": [[]], "normals": 0}, "'normals' must be a list of worlds"),
+        ({"worlds": 1, "rel": [[]], "normals": [1]}, "'normals' must be a list of worlds"),
+        ({"worlds": 1, "rel": [[]], "normals": [], "val": []}, "'val' must map variables to lists of worlds"),
+        ({"worlds": 1, "rel": [[]], "normals": [], "val": {"p": 0}}, "'val' must map variables to lists of worlds"),
+        ({"worlds": 1, "rel": [[]], "normals": [], "val": {"p": [3]}}, "world 3 in extension of 'p' out of range"),
+        ({"worlds": 1, "rel": [[]], "normals": [], "val": {"q": [0], "p": ["0"]}},
+         "world '0' in extension of 'p' out of range"),
+        # rows before normals, and rows in order
+        ({"worlds": 2, "rel": [[], 0], "normals": [5]}, "'rel' rows must be lists of worlds"),
+        ({"worlds": 2, "rel": [[5], 0], "normals": []}, "successor 5 of world 0 out of range"),
+    ], ids=["not-object", "worlds", "rel-length", "row-not-list", "successor-bool", "successor-range",
+            "normals-not-list", "normals-range", "val-not-object", "value-not-list", "value-range",
+            "value-string", "row-before-normals", "rows-in-order"])
+    def test_reader_messages(self, data, message):
+        for read in (frame_from_json, model_from_json):
+            if read is frame_from_json and "val" in data:
+                continue
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read(data)
